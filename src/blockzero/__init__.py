@@ -27,12 +27,10 @@ from .families import (
     vanishing_pairs,
 )
 from .ring import (
-    FactoredElement,
     ModulusContext,
     PowerCycle,
     PreconditionError,
     is_cubic_residue,
-    mod_factor,
     pow_cycle,
     sqrt_3mod4,
 )
@@ -62,7 +60,6 @@ __all__ = [
     "Block",
     "Certificate",
     "Classification",
-    "FactoredElement",
     "FunctionalFamily",
     "ModulusContext",
     "PeriodicWord",
@@ -84,7 +81,6 @@ __all__ = [
     "load_certificate",
     "longest_avoiding_word",
     "mine_witness",
-    "mod_factor",
     "newton_implication_check",
     "parse_symbols",
     "pow_cycle",

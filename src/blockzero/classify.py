@@ -207,10 +207,14 @@ def _cache_path(cache_dir: str, n: int, fam: FunctionalFamily, m: int) -> str:
 
 
 def _load_cached(path: str) -> Classification | None:
+    """A cached proved verdict, or None.  An UNKNOWN records only that one
+    budget ran out, so it is never served: a later call may have more."""
     if not os.path.exists(path):
         return None
     with open(path) as fh:
         cls = Classification.from_dict(json.load(fh))
+    if cls.verdict == UNKNOWN:
+        return None
     if cls.verdict == NONVANISHING_PROVED:
         if cls.certificate is None or not recheck_certificate(cls.certificate):
             return None  # stale or corrupt: recompute

@@ -47,6 +47,50 @@ class FunctionalFamily:
             return (identity_table(self.ctx),)
         return ()
 
+    # A block's value is a function of a small state built one symbol at a
+    # time: (sum, product) for F_c, the vector of table sums for
+    # transformation and power sums, and (e_1..e_r) for elementary
+    # symmetric polynomials.
+
+    def block_state(self, a: int) -> tuple[int, ...]:
+        """The state of the one-symbol block (a)."""
+        n = self.ctx.n
+        a %= n
+        if self.kind == SUM_PLUS_C_PROD:
+            return (a, a)
+        if self.kind == TRANSFORMATION_SUMS:
+            return tuple(t[a] for t in self.tables)
+        if self.kind == POWER_SUMS:
+            return tuple(pow(a, i, n) for i in range(1, self.r + 1))
+        if self.kind == ELEMENTARY_SYMMETRIC:
+            return (a,) + (0,) * (self.r - 1)
+        raise PreconditionError(f"unknown family kind {self.kind!r}")
+
+    def extend(self, state: tuple[int, ...], a: int) -> tuple[int, ...]:
+        """The state of a block with state `state` followed by symbol a."""
+        n = self.ctx.n
+        a %= n
+        if self.kind == SUM_PLUS_C_PROD:
+            s, p = state
+            return ((s + a) % n, p * a % n)
+        if self.kind == TRANSFORMATION_SUMS:
+            return tuple((x + t[a]) % n for x, t in zip(state, self.tables))
+        if self.kind == POWER_SUMS:
+            return tuple((x + pow(a, i, n)) % n for i, x in enumerate(state, 1))
+        if self.kind == ELEMENTARY_SYMMETRIC:
+            # e_k += a * e_{k-1}, with e_0 = 1, all from the old values
+            return tuple((e + a * prev) % n for e, prev in zip(state, (1,) + state))
+        raise PreconditionError(f"unknown family kind {self.kind!r}")
+
+    def vanishes(self, state: tuple[int, ...]) -> bool:
+        """Whether a block with this state has the zero value."""
+        if self.kind == SUM_PLUS_C_PROD:
+            s, p = state
+            return (s + self.c * p) % self.ctx.n == 0
+        if self.kind == ELEMENTARY_SYMMETRIC:
+            return state[-1] == 0
+        return not any(state)
+
     def to_descriptor(self) -> dict:
         if self.kind == SUM_PLUS_C_PROD:
             return {"kind": self.kind, "c": self.c}

@@ -1,8 +1,8 @@
-"""Exact arithmetic in Z_n with factored representations.
+"""Exact arithmetic in Z_n.
 
-Residues are plain ints in [0, n).  A ModulusContext carries the modulus,
-its prime factorization and the lookup tables (unit inverses, factored
-forms) that make incremental block products cheap.
+Residues are plain ints in [0, n).  A ModulusContext carries the modulus
+and its prime factorization; the module also holds the number theory the
+witness constructions need (power cycles, square and cube roots mod p).
 """
 
 from __future__ import annotations
@@ -44,28 +44,6 @@ def is_prime(p: int) -> bool:
 
 
 @dataclass(frozen=True)
-class FactoredElement:
-    """A residue split as unit * prod(p_i^e_i) over the primes of n.
-
-    is_zero is an absorbing flag: exponent bookkeeping cannot represent 0,
-    and prefix-product subtraction relies on never conflating 0 with a
-    large power of a prime.
-    """
-
-    is_zero: bool
-    unit: int
-    exponents: tuple[int, ...]
-
-    def reconstruct(self, ctx: "ModulusContext") -> int:
-        if self.is_zero:
-            return 0
-        v = self.unit
-        for (p, _), e in zip(ctx.factorization, self.exponents):
-            v = v * pow(p, e, ctx.n) % ctx.n
-        return v
-
-
-@dataclass(frozen=True)
 class PowerCycle:
     """Minimal (preperiod, cycle_len) of the power sequence g, g^2, g^3, ...
 
@@ -79,15 +57,11 @@ class PowerCycle:
 
 
 class ModulusContext:
-    """The ring Z_n: factorization, unit inverses, factored residues."""
+    """The ring Z_n and its prime factorization."""
 
     def __init__(self, n: int):
         self.n = n
         self.factorization = factorize(n)
-        self.alpha_bound = max(1, math.ceil(math.log2(n)))
-        self.primes = tuple(p for p, _ in self.factorization)
-        self._inverses: list[int | None] | None = None
-        self._factors: list[FactoredElement] | None = None
 
     def __repr__(self):
         return f"ModulusContext(n={self.n})"
@@ -100,48 +74,6 @@ class ModulusContext:
 
     def residue(self, x: int) -> int:
         return x % self.n
-
-    @property
-    def inverse_table(self) -> list:
-        if self._inverses is None:
-            inv: list[int | None] = [None] * self.n
-            for u in range(1, self.n):
-                if math.gcd(u, self.n) == 1:
-                    inv[u] = pow(u, -1, self.n)
-            self._inverses = inv
-        return self._inverses
-
-    def inv(self, u: int) -> int:
-        r = self.inverse_table[u % self.n]
-        if r is None:
-            raise PreconditionError(f"{u} is not a unit mod {self.n}")
-        return r
-
-    @property
-    def factor_table(self) -> list:
-        if self._factors is None:
-            self._factors = [mod_factor(a, self) for a in range(self.n)]
-        return self._factors
-
-    def factor(self, a: int) -> FactoredElement:
-        return self.factor_table[a % self.n]
-
-
-def mod_factor(a: int, ctx: ModulusContext) -> FactoredElement:
-    """Split residue a into unit * prod(p_i^e_i) over the primes of n."""
-    a %= ctx.n
-    if a == 0:
-        return FactoredElement(True, 1, (0,) * len(ctx.primes))
-    exps = []
-    rest = a
-    for p in ctx.primes:
-        e = 0
-        while rest % p == 0:
-            rest //= p
-            e += 1
-        exps.append(e)
-    # rest is now coprime to n, hence a unit
-    return FactoredElement(False, rest % ctx.n, tuple(exps))
 
 
 def pow_cycle(g: int, ctx: ModulusContext) -> PowerCycle:

@@ -3,7 +3,11 @@ the constructive solver for x + r*y = 0, x*y^r = 1 over a prime field.
 
 The avoidance tree of words with no vanishing m-window is finite exactly
 when the family is m-vanishing, so an exhausted DFS is a proof and its
-maximal depth plus one is the exact threshold.
+maximal depth plus one is the exact threshold.  The DFS works on the
+family's block states (FunctionalFamily.block_state/extend/vanishes), not
+on a Word: every distinct state is expanded once into its successors and
+the set of symbols whose extension vanishes, so a node finds all of its
+forbidden children with a few bitmask ORs instead of scanning windows.
 """
 
 from __future__ import annotations
@@ -11,16 +15,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .families import (
-    ELEMENTARY_SYMMETRIC,
-    SUM_PLUS_C_PROD,
-    FunctionalFamily,
-    Block,
-    eval_family,
-)
+from .families import FunctionalFamily
 from .ring import ModulusContext, PreconditionError, is_cubic_residue, is_prime, sqrt_3mod4
 from .verify import AVOIDING, UnsupportedFamilyError, _PeriodicEvaluator, verify_periodic
-from .words import PeriodicWord, Word, min_rotation
+from .words import PeriodicWord, min_rotation
 
 EXHAUSTED = "exhausted"
 CAP_REACHED = "cap_reached"
@@ -40,35 +38,6 @@ class SearchOutcome:
     budget_exhausted: bool = False
 
 
-def _window_checker(word: Word, fam: FunctionalFamily, m: int):
-    """Returns f(L) -> True iff some m-window ending at position L vanishes."""
-    n = fam.ctx.n
-    zero = (0,) * fam.output_dim
-    if fam.kind == ELEMENTARY_SYMMETRIC:
-        def block_zero(s, l):
-            return eval_family(fam, Block(word, s, l)) == zero
-    elif fam.kind == SUM_PLUS_C_PROD:
-        c = fam.c
-        def block_zero(s, l):
-            return (word.block_sum(s, l) + c * word.block_product(s, l)) % n == 0
-    else:
-        dims = range(fam.output_dim)
-        def block_zero(s, l):
-            return all(word.block_sum(s, l, i) == 0 for i in dims)
-
-    def vanishing_window_ends_at(L):
-        for l in range(2, L // m + 1):
-            s = L - m * l
-            # last block first: most windows die on their final block
-            if not block_zero(s + (m - 1) * l, l):
-                continue
-            if all(block_zero(s + j * l, l) for j in range(m - 1)):
-                return True
-        return False
-
-    return vanishing_window_ends_at
-
-
 def longest_avoiding_word(
     ctx: ModulusContext,
     fam: FunctionalFamily,
@@ -82,56 +51,120 @@ def longest_avoiding_word(
     Exhausted: the tree is finite; threshold is 1 + the maximal depth and
     longest_word is the first word found at that depth.  Cap or budget
     exhaustion yields CapReached with the deepest avoiding frontier found.
+
+    A node keeps the block states of its suffixes, interned as ids; each
+    id gets, on first use, a row of successor ids and a mask of the
+    symbols whose extension vanishes.  Child a ends a vanishing window of
+    block length l iff the m - 1 earlier blocks vanish and bit a of the
+    length-(l - 1) suffix's mask is set.  For m = 1 the forbidden children
+    are the OR of the masks over the set of suffix states; for m >= 2 the
+    earlier blocks are read from per-depth bitmasks of vanishing lengths.
     """
     if cap < 2:
         raise PreconditionError(f"cap must be >= 2, got {cap}")
     if m < 1:
         raise PreconditionError(f"m must be >= 1, got {m}")
-    tables = fam.sum_tables()
-    word = Word(ctx, tables=tables) if tables else Word(ctx)
-    bad_ending = _window_checker(word, fam, m)
+    n = ctx.n
+    ids: dict[tuple[int, ...], int] = {}
+    states: list[tuple[int, ...]] = []
+    rows: list[list[int] | None] = []  # rows[i][a]: id of state i extended by a
+    masks: list[int] = []  # bit a: the extension of state i by a vanishes
 
-    state = {"best": 0, "word": (), "nodes": 0, "stop": None}
+    def intern(st: tuple[int, ...]) -> int:
+        i = ids.get(st)
+        if i is None:
+            i = ids[st] = len(states)
+            states.append(st)
+            rows.append(None)
+            masks.append(0)
+        return i
+
+    def expand(i: int) -> list[int]:
+        row, mask = [], 0
+        for a in range(n):
+            nxt = fam.extend(states[i], a)
+            row.append(intern(nxt))
+            if fam.vanishes(nxt):
+                mask |= 1 << a
+        rows[i], masks[i] = row, mask
+        return row
+
+    singles = [intern(fam.block_state(a)) for a in range(n)]
+    word: list[int] = []
+    # vanishing[d]: bit l set iff the length-l block ending at depth d vanishes
+    vanishing = [0]
+    best, best_word, nodes, stop = 0, (), 0, None
     check_every = 2048
 
-    def dfs() -> None:
-        state["nodes"] += 1
+    def enter() -> bool:
+        """Count the node; False when a stop condition ends the search."""
+        nonlocal best, best_word, nodes, stop
+        nodes += 1
         L = len(word)
-        if L > state["best"]:
-            state["best"] = L
-            state["word"] = tuple(word.symbols)
+        if L > best:
+            best, best_word = L, tuple(word)
         if L >= cap:
-            state["stop"] = "cap"
+            stop = "cap"
+        elif max_nodes is not None and nodes >= max_nodes:
+            stop = "budget"
+        elif deadline is not None and nodes % check_every == 0 and time.monotonic() > deadline:
+            stop = "budget"
+        return stop is None
+
+    def dfs_set(suffixes) -> None:
+        # m = 1: only the set of suffix states matters
+        if not enter():
             return
-        if max_nodes is not None and state["nodes"] >= max_nodes:
-            state["stop"] = "budget"
-            return
-        if (
-            deadline is not None
-            and state["nodes"] % check_every == 0
-            and time.monotonic() > deadline
-        ):
-            state["stop"] = "budget"
-            return
-        for a in range(ctx.n):
-            word.push(a)
-            if not bad_ending(len(word)):
-                dfs()
+        forbidden = 0
+        srows = []
+        for i in suffixes:
+            srows.append(rows[i] or expand(i))
+            forbidden |= masks[i]
+        for a in range(n):
+            if forbidden >> a & 1:
+                continue
+            child = {row[a] for row in srows}
+            child.add(singles[a])
+            word.append(a)
+            dfs_set(child)
             word.pop()
-            if state["stop"]:
+            if stop:
                 return
 
-    dfs()
-    nodes = state["nodes"]
-    if state["stop"] is None:
-        return SearchOutcome(EXHAUSTED, state["best"] + 1, state["word"], nodes, cap)
+    def dfs_list(suffixes: list[int]) -> None:
+        # suffixes[k]: the state of the length-(k + 1) suffix
+        if not enter():
+            return
+        srows = [rows[i] or expand(i) for i in suffixes]
+        L1 = len(word) + 1
+        forbidden = 0
+        for l in range(2, L1 // m + 1):
+            bit = 1 << l
+            if all(vanishing[L1 - j * l] & bit for j in range(1, m)):
+                forbidden |= masks[suffixes[l - 2]]
+        for a in range(n):
+            if forbidden >> a & 1:
+                continue
+            v = 0
+            for k, i in enumerate(suffixes, 2):
+                if masks[i] >> a & 1:
+                    v |= 1 << k
+            word.append(a)
+            vanishing.append(v)
+            dfs_list([singles[a]] + [row[a] for row in srows])
+            vanishing.pop()
+            word.pop()
+            if stop:
+                return
+
+    if m == 1:
+        dfs_set(())
+    else:
+        dfs_list([])
+    if stop is None:
+        return SearchOutcome(EXHAUSTED, best + 1, best_word, nodes, cap)
     return SearchOutcome(
-        CAP_REACHED,
-        None,
-        state["word"],
-        nodes,
-        state["best"],
-        budget_exhausted=(state["stop"] == "budget"),
+        CAP_REACHED, None, best_word, nodes, best, budget_exhausted=(stop == "budget")
     )
 
 

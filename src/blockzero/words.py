@@ -1,10 +1,10 @@
-"""Finite and periodic words over Z_n with incremental prefix state.
+"""Finite and periodic words over Z_n.
 
-A Word keeps running transformation sums (one per tracked table) and a
-running factored product (unit part, per-prime exponent totals, zero
-count), so block sums are O(1) and block products O(#primes of n).
-push/pop restore the state exactly, which is what the avoidance-tree DFS
-needs.
+A Word keeps running transformation sums (one per tracked table), so
+block sums are O(1); a block product is a plain fold over the block.
+Words are built by push, and pop undoes the last push.  They serve
+evaluation, scans and certificate re-checks; the avoidance-tree DFS keeps
+its own per-suffix block states and builds no Word.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ def parse_symbols(text: str, ctx: ModulusContext) -> tuple[int, ...]:
 
 
 class Word:
-    """A finite word with push/pop and prefix structures.
+    """A finite word with push/pop and prefix sums.
 
     tables: transformation tables whose running sums are maintained
     (defaults to the identity, giving plain block sums).
@@ -45,10 +45,6 @@ class Word:
         self.symbols: list[int] = []
         # prefix_sums[i][k] = sum of tables[i][sym] over the first k symbols, mod n
         self.prefix_sums = [[0] for _ in self.tables]
-        # factored prefix product over nonzero symbols
-        self.prefix_unit = [1]
-        self.prefix_exps = [(0,) * len(ctx.primes)]
-        self.prefix_zeros = [0]
         for s in symbols:
             self.push(s)
 
@@ -61,25 +57,11 @@ class Word:
         self.symbols.append(sym)
         for t, ps in zip(self.tables, self.prefix_sums):
             ps.append((ps[-1] + t[sym]) % n)
-        f = self.ctx.factor(sym)
-        if f.is_zero:
-            self.prefix_unit.append(self.prefix_unit[-1])
-            self.prefix_exps.append(self.prefix_exps[-1])
-            self.prefix_zeros.append(self.prefix_zeros[-1] + 1)
-        else:
-            self.prefix_unit.append(self.prefix_unit[-1] * f.unit % n)
-            self.prefix_exps.append(
-                tuple(a + b for a, b in zip(self.prefix_exps[-1], f.exponents))
-            )
-            self.prefix_zeros.append(self.prefix_zeros[-1])
 
     def pop(self) -> int:
         sym = self.symbols.pop()
         for ps in self.prefix_sums:
             ps.pop()
-        self.prefix_unit.pop()
-        self.prefix_exps.pop()
-        self.prefix_zeros.pop()
         return sym
 
     def _check_range(self, start: int, length: int) -> None:
@@ -104,26 +86,18 @@ class Word:
 
     def block_product(self, start: int, length: int) -> int:
         self._check_range(start, length)
-        if self.prefix_zeros[start + length] > self.prefix_zeros[start]:
-            return 0
         n = self.ctx.n
-        v = self.prefix_unit[start + length] * self.ctx.inv(self.prefix_unit[start]) % n
-        lo = self.prefix_exps[start]
-        hi = self.prefix_exps[start + length]
-        for p, a, b in zip(self.ctx.primes, lo, hi):
-            if b > a:
-                v = v * pow(p, b - a, n) % n
+        v = 1
+        for sym in self.symbols[start : start + length]:
+            if sym == 0:
+                return 0
+            v = v * sym % n
         return v
 
     def rebuild_consistent(self) -> bool:
         """Debug check: prefix structures match a from-scratch rebuild."""
         fresh = Word(self.ctx, self.symbols, self.tables)
-        return (
-            fresh.prefix_sums == self.prefix_sums
-            and fresh.prefix_unit == self.prefix_unit
-            and fresh.prefix_exps == self.prefix_exps
-            and fresh.prefix_zeros == self.prefix_zeros
-        )
+        return fresh.prefix_sums == self.prefix_sums
 
 
 def min_rotation(seq: tuple[int, ...]) -> tuple[int, ...]:

@@ -115,6 +115,17 @@ def test_classify_unknown_under_tiny_budget():
     assert cls.outcome is not None and cls.outcome.budget_exhausted
 
 
+def test_cached_unknown_does_not_block_a_larger_budget(tmp_path):
+    small = classify(7, 0, 1, max_nodes=1000, cache_dir=str(tmp_path))
+    assert small.verdict == UNKNOWN
+    assert small.nodes_expanded == 1000
+    full = classify(7, 0, 1, cache_dir=str(tmp_path))
+    assert (full.verdict, full.threshold) == (VANISHING_PROVED, 14)
+    assert full.nodes_expanded == 151_946
+    # the proved verdict replaced the UNKNOWN and is served from now on
+    assert classify(7, 0, 1, max_nodes=1000, cache_dir=str(tmp_path)) == full
+
+
 def test_classify_c_reduces_mod_n(tmp_path):
     a = classify(12, 1, 1, cache_dir=str(tmp_path))
     b = classify(12, 13, 1, cache_dir=str(tmp_path))

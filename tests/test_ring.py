@@ -3,13 +3,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from blockzero.ring import (
-    FactoredElement,
     ModulusContext,
     PreconditionError,
     factorize,
     is_cubic_residue,
     is_prime,
-    mod_factor,
     pow_cycle,
     sqrt_3mod4,
 )
@@ -33,29 +31,6 @@ def test_factorize_reconstructs(n):
         prod *= p**e
     assert prod == n
     assert [p for p, _ in fac] == sorted({p for p, _ in fac})
-
-
-def test_mod_factor_examples():
-    ctx = ModulusContext(12)
-    assert mod_factor(8, ctx) == FactoredElement(False, 1, (3, 0))
-    assert mod_factor(6, ctx) == FactoredElement(False, 1, (1, 1))
-    assert mod_factor(0, ctx).is_zero
-
-
-def test_mod_factor_round_trip_exhaustive():
-    for n in range(2, 61):
-        ctx = ModulusContext(n)
-        for a in range(n):
-            f = mod_factor(a, ctx)
-            assert f.reconstruct(ctx) == a
-            if not f.is_zero:
-                assert all(e <= ctx.alpha_bound for e in f.exponents)
-
-
-def test_alpha_bound_dominates_exponents():
-    for n in range(2, 200):
-        ctx = ModulusContext(n)
-        assert ctx.alpha_bound >= max(e for _, e in ctx.factorization)
 
 
 def test_pow_cycle_examples():
@@ -125,11 +100,3 @@ def test_is_cubic_residue_against_cube_tables():
         cubes = {pow(x, 3, p) for x in range(p)}
         for a in range(p):
             assert is_cubic_residue(a, p) == (a in cubes)
-
-
-def test_inverse_table():
-    ctx = ModulusContext(12)
-    for u in (1, 5, 7, 11):
-        assert ctx.inv(u) * u % 12 == 1
-    with pytest.raises(PreconditionError):
-        ctx.inv(6)

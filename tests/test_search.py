@@ -2,11 +2,17 @@ from itertools import product
 
 import pytest
 
-from blockzero.families import sum_plus_c_prod, transformation_sums
+from blockzero.families import (
+    elementary_symmetric_family,
+    power_sums,
+    sum_plus_c_prod,
+    transformation_sums,
+)
 from blockzero.ring import ModulusContext, PreconditionError
 from blockzero.search import (
     CAP_REACHED,
     EXHAUSTED,
+    SearchOutcome,
     build_xyr_witness,
     longest_avoiding_word,
     mine_witness,
@@ -15,7 +21,13 @@ from blockzero.search import (
 from blockzero.verify import AVOIDING, recheck_certificate, scan_word
 from blockzero.words import PeriodicWord, Word, min_rotation
 
-from oracles import Lcg, bfs_threshold, bfs_threshold_tables, naive_f_c
+from oracles import (
+    Lcg,
+    bfs_threshold,
+    bfs_threshold_tables,
+    naive_elementary_symmetric,
+    naive_f_c,
+)
 
 
 def search(n, c, m, cap=32, **kw):
@@ -185,3 +197,115 @@ def test_vector_valued_search_matches_oracle():
         capped = longest_avoiding_word(ctx, fam, 1, cap=oracle_threshold - 2)
         assert capped.status == CAP_REACHED
         assert len(capped.longest_word) == oracle_threshold - 2
+
+
+# Outcomes of the window-scanning DFS this kernel replaced, cap 24, m = 1:
+# the kernel must visit the same nodes in the same order.
+PINNED_OUTCOMES = [
+    ((6, 1, None), SearchOutcome(
+        EXHAUSTED, 18, (0, 1, 0, 3, 1, 4, 1, 1, 4, 1, 4, 1, 1, 4, 2, 5, 2), 23_392, 24)),
+    ((6, 0, None), SearchOutcome(
+        EXHAUSTED, 12, (0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0), 12_662, 24)),
+    ((6, 5, 40_000), SearchOutcome(
+        CAP_REACHED, None,
+        (1, 4, 1, 1, 5, 1, 4, 2, 5, 3, 5, 2, 4, 1, 5, 1, 1, 4, 1), 40_000, 19,
+        budget_exhausted=True)),
+    ((7, 6, None), SearchOutcome(
+        CAP_REACHED, None,
+        (0, 1, 0, 1, 2, 5, 2, 5, 2, 5, 2, 1, 0, 1, 4, 3, 4, 3, 4, 3, 4, 3, 4, 3),
+        6_181, 24)),
+]
+
+
+@pytest.mark.parametrize("args,expected", PINNED_OUTCOMES, ids=lambda v: str(v))
+def test_pinned_outcomes(args, expected):
+    n, c, max_nodes = args
+    assert search(n, c, 1, cap=24, max_nodes=max_nodes) == expected
+
+
+def assert_avoids(ctx, fam, m, word):
+    assert scan_word(Word(ctx, word), fam, m) == []
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2])
+def test_f_c_matches_bfs_oracle(n, m):
+    ctx = ModulusContext(n)
+    for c in range(n):
+        fam = sum_plus_c_prod(ctx, c)
+        out = longest_avoiding_word(ctx, fam, m, cap=24)
+        assert_avoids(ctx, fam, m, out.longest_word)
+        if out.status == EXHAUSTED:
+            # BFS levels are in lexicographic order, and so is the DFS
+            assert (out.threshold, out.longest_word) == bfs_threshold(n, c, m)
+        else:
+            assert len(out.longest_word) == 24 and not out.budget_exhausted
+            with pytest.raises(RuntimeError, match="no threshold"):
+                bfs_threshold(n, c, m, max_len=6)
+
+
+@pytest.mark.parametrize(
+    "n,tables,m",
+    [
+        (3, ((0, 1, 2), (1, 2, 2)), 1),  # identity and x^2 + 1
+        (2, ((0, 1), (1, 0)), 2),  # identity and x + 1
+    ],
+)
+def test_transformation_sums_match_bfs_oracle(n, tables, m):
+    ctx = ModulusContext(n)
+    fam = transformation_sums(ctx, tables)
+    out = longest_avoiding_word(ctx, fam, m, cap=24)
+    assert out.status == EXHAUSTED
+    assert (out.threshold, out.longest_word) == bfs_threshold_tables(n, tables, m)
+    assert_avoids(ctx, fam, m, out.longest_word)
+
+
+@pytest.mark.parametrize("n,m", [(3, 1), (2, 2)])
+def test_power_sums_match_bfs_oracle(n, m):
+    ctx = ModulusContext(n)
+    fam = power_sums(ctx, 2)
+    tables = (tuple(range(n)), tuple(x * x % n for x in range(n)))
+    out = longest_avoiding_word(ctx, fam, m, cap=24)
+    assert out.status == EXHAUSTED
+    assert (out.threshold, out.longest_word) == bfs_threshold_tables(n, tables, m)
+    assert_avoids(ctx, fam, m, out.longest_word)
+
+
+def bfs_threshold_e_r(n, r, m, max_len=32):
+    """BFS oracle for e_r by naive folds over subsets."""
+
+    def avoids_at_end(w):
+        L = len(w)
+        for l in range(2, L // m + 1):
+            s = L - m * l
+            blocks = [w[s + j * l : s + (j + 1) * l] for j in range(m)]
+            if all(naive_elementary_symmetric(b, r, n) == 0 for b in blocks):
+                return False
+        return True
+
+    level = [()]
+    for L in range(1, max_len + 1):
+        nxt = [w + (a,) for w in level for a in range(n) if avoids_at_end(w + (a,))]
+        if not nxt:
+            return L, level[0]
+        level = nxt
+    raise RuntimeError(f"no threshold up to length {max_len}")
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (4, 1), (5, 1), (2, 2)])
+def test_elementary_symmetric_matches_bfs_oracle(n, m):
+    ctx = ModulusContext(n)
+    fam = elementary_symmetric_family(ctx, 2)
+    out = longest_avoiding_word(ctx, fam, m, cap=24)
+    assert out.status == EXHAUSTED
+    assert (out.threshold, out.longest_word) == bfs_threshold_e_r(n, 2, m)
+    assert_avoids(ctx, fam, m, out.longest_word)
+
+
+def test_elementary_symmetric_cap_reached_word_avoids():
+    ctx = ModulusContext(3)
+    fam = elementary_symmetric_family(ctx, 2)
+    out = longest_avoiding_word(ctx, fam, 2, cap=16)
+    assert out.status == CAP_REACHED and not out.budget_exhausted
+    assert len(out.longest_word) == 16
+    assert_avoids(ctx, fam, 2, out.longest_word)
