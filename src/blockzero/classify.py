@@ -362,7 +362,7 @@ class TableReport:
     reproducer_paths: tuple[str, ...] = ()
 
 
-def _is_contradiction(cls: Classification, expected: str | None) -> bool:
+def is_contradiction(cls: Classification, expected: str | None) -> bool:
     if expected == VANISHING and cls.verdict == NONVANISHING_PROVED:
         return True
     if expected == NONVANISHING and cls.verdict == VANISHING_PROVED:
@@ -421,7 +421,7 @@ def reproduce_table(
     dumps = []
     for cls in results:
         exp = expected_verdict(cls.n, cls.c, cls.m)
-        bad = _is_contradiction(cls, exp)
+        bad = is_contradiction(cls, exp)
         cell = CellResult(cls, exp, bad)
         cells.append(cell)
         if bad:
@@ -455,8 +455,10 @@ def render_table(report: TableReport) -> str:
             detail = "witness " + ",".join(map(str, cls.witness))
         elif cls.verdict == VANISHING_PROVED:
             detail = f"threshold {cls.threshold}"
+        elif cls.outcome.budget_exhausted:
+            detail = f"node/time budget after {cls.outcome.nodes_expanded} nodes"
         else:
-            detail = "no verdict within budget"
+            detail = f"cap reached at length {cls.outcome.cap}"
         if cell.contradiction:
             detail += "  ** CONTRADICTS KNOWN CLASSIFICATION **"
         lines.append(

@@ -13,9 +13,12 @@ import time
 from .classify import (
     classify,
     NONVANISHING_PROVED,
+    UNKNOWN,
     VANISHING_PROVED,
     ContradictionError,
+    expected_verdict,
     family_hash,
+    is_contradiction,
     render_table,
     reproduce_table,
 )
@@ -174,7 +177,11 @@ def cmd_classify(args) -> int:
         print(f"threshold: {cls.threshold}")
     print(f"provenance: {cls.provenance}")
     append_run_record(cache_dir, "classify", sys.argv[2:], started, cls.verdict, [])
-    return EXIT_OK
+    expected = expected_verdict(cls.n, cls.c, cls.m)
+    if is_contradiction(cls, expected):
+        print(f"contradiction: the known classification is {expected}", file=sys.stderr)
+        return EXIT_CONTRADICTION
+    return EXIT_BUDGET if cls.verdict == UNKNOWN else EXIT_OK
 
 
 def cmd_xyr(args) -> int:

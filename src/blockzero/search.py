@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .families import FunctionalFamily
 from .ring import ModulusContext, PreconditionError, is_cubic_residue, is_prime, sqrt_3mod4
-from .verify import AVOIDING, UnsupportedFamilyError, _PeriodicEvaluator, verify_periodic
+from .verify import AVOIDING, verify_periodic
 from .words import PeriodicWord, min_rotation
 
 EXHAUSTED = "exhausted"
@@ -171,22 +171,8 @@ def longest_avoiding_word(
 @dataclass(frozen=True)
 class MineResult:
     witnesses: tuple
-    complete: bool  # False when the budget stopped the enumeration early
+    complete: bool  # False when the deadline or the limit stopped the enumeration
     candidates_checked: int
-
-
-def _prefilter_ok(period, fam, m, max_l: int) -> bool:
-    """Cheap scan of small block lengths; False means certainly refuted."""
-    try:
-        ev = _PeriodicEvaluator(period, fam)
-    except UnsupportedFamilyError:
-        return True
-    zero = (0,) * fam.output_dim
-    for l in range(2, max_l + 1):
-        for s in range(ev.P):
-            if all(ev.block_value(s + j * l, l) == zero for j in range(m)):
-                return False
-    return True
 
 
 def mine_witness(
@@ -201,8 +187,13 @@ def mine_witness(
     """Enumerate canonical necklaces of period <= p_max and keep every one
     whose infinite repetition is certified avoiding.
 
-    alphabet restricts the symbols tried (e.g. nonzero residues, or the
-    residues below a divisor of n); enumeration order is deterministic.
+    Every canonical necklace goes straight to verify_periodic, which stops
+    at the first vanishing window, so most candidates are refuted after a
+    few block lengths.  alphabet restricts the symbols tried (e.g. nonzero
+    residues, or the residues below a divisor of n); enumeration order is
+    deterministic.  The result is incomplete (complete=False) when the
+    deadline passes or when limit witnesses have been found before the
+    enumeration ends.
     """
     if p_max < 1:
         raise PreconditionError(f"p_max must be >= 1, got {p_max}")
@@ -218,12 +209,11 @@ def mine_witness(
             t = tuple(period)
             if t == min_rotation(t):
                 checked += 1
-                if _prefilter_ok(t, fam, m, max_l=max(16, 4 * P)):
-                    cert = verify_periodic(PeriodicWord(t, ctx.n), fam, m)
-                    if cert.verdict == AVOIDING:
-                        witnesses.append((PeriodicWord(t, ctx.n), cert))
-                        if limit is not None and len(witnesses) >= limit:
-                            return MineResult(tuple(witnesses), False, checked)
+                cert = verify_periodic(PeriodicWord(t, ctx.n), fam, m)
+                if cert.verdict == AVOIDING:
+                    witnesses.append((PeriodicWord(t, ctx.n), cert))
+                    if limit is not None and len(witnesses) >= limit:
+                        return MineResult(tuple(witnesses), False, checked)
             k = P - 1
             while k >= 0 and idx[k] == len(symbols) - 1:
                 idx[k] = 0

@@ -5,6 +5,13 @@ A periodic word's block values depend on the block length l only through
 eventually periodic via the power cycle of the one-period product G.
 Checking every start residue and every l up to a computable bound
 therefore settles the infinite claim.
+
+verify_periodic makes that check in one lockstep pass on the family's
+block states (FunctionalFamily.block_state/extend/vanishes): it keeps the
+state of the length-l block at each of the P start residues, grows all of
+them by one symbol per length, and reads each m-window off the residues
+its blocks start at.  The length bound holds for F_c and transformation
+sums; other family kinds raise UnsupportedFamilyError.
 """
 
 from __future__ import annotations
@@ -112,95 +119,73 @@ def scan_word(word: Word, fam: FunctionalFamily, m: int) -> list[Window]:
     return found
 
 
-class _PeriodicEvaluator:
-    """Block values of a periodic word via full-period + wrapped-partial parts."""
-
-    def __init__(self, period: tuple[int, ...], fam: FunctionalFamily):
-        ctx = fam.ctx
-        n = ctx.n
-        self.n = n
-        self.fam = fam
-        self.period = period
-        P = len(period)
-        self.P = P
-        self.G = 1
-        for x in period:
-            self.G = self.G * x % n
-        if fam.kind == SUM_PLUS_C_PROD:
-            tables = fam.sum_tables()
-        elif fam.kind == TRANSFORMATION_SUMS:
-            tables = fam.tables
-        else:
-            raise UnsupportedFamilyError(
-                f"family kind {fam.kind!r} has no certified periodic check; use a bounded scan instead"
-            )
-        self.T = tuple(sum(t[x] for x in period) % n for t in tables)
-        # partial sums over r symbols starting at index t, per table
-        self.psum = [
-            [[0] * (P + 1) for _ in range(P)] for _ in tables
-        ]
-        self.pprod = [[1] * (P + 1) for _ in range(P)]
-        for t in range(P):
-            for r in range(1, P + 1):
-                sym = period[(t + r - 1) % P]
-                for i, tab in enumerate(tables):
-                    self.psum[i][t][r] = (self.psum[i][t][r - 1] + tab[sym]) % n
-                self.pprod[t][r] = self.pprod[t][r - 1] * sym % n
-
-    def block_value(self, start: int, length: int) -> tuple[int, ...]:
-        n = self.n
-        q, r = divmod(length, self.P)
-        t = start % self.P
-        sums = tuple(
-            (q * T_i + ps[t][r]) % n for T_i, ps in zip(self.T, self.psum)
-        )
-        if self.fam.kind == SUM_PLUS_C_PROD:
-            prod = pow(self.G, q, n) * self.pprod[t][r] % n if q else self.pprod[t][r]
-            return ((sums[0] + self.fam.c * prod) % n,)
-        return sums
+def lockstep_states(period: tuple[int, ...], fam: FunctionalFamily, max_l: int):
+    """Yield (l, states) for l = 2..max_l, where states[t] is the block
+    state of the length-l block that starts at residue t of the infinite
+    repetition of period.  All P blocks grow by one symbol per step."""
+    P = len(period)
+    extend = fam.extend
+    # next_syms[r][t]: the symbol that extends the block at residue t when
+    # its length becomes l with (l - 1) % P == r
+    next_syms = [period[r:] + period[:r] for r in range(P)]
+    states = [fam.block_state(a) for a in period]
+    for l in range(2, max_l + 1):
+        states = list(map(extend, states, next_syms[(l - 1) % P]))
+        yield l, states
 
 
 def verify_periodic(pw: PeriodicWord, fam: FunctionalFamily, m: int) -> Certificate:
     """Decide whether the infinite repetition of pw avoids all vanishing
-    m-windows, returning a finite re-checkable certificate either way."""
+    m-windows, returning a finite re-checkable certificate either way.
+
+    The window (s, l) vanishes iff the length-l blocks at residues
+    (s + j*l) mod P vanish for every j < m, so one lockstep pass over the
+    lengths finds the first vanishing window in (l, s) order."""
     if m < 1:
         raise PreconditionError(f"m must be >= 1, got {m}")
     ctx = fam.ctx
     if pw.n != ctx.n:
         raise PreconditionError("periodic word and family moduli differ")
+    if fam.kind not in (SUM_PLUS_C_PROD, TRANSFORMATION_SUMS):
+        raise UnsupportedFamilyError(
+            f"family kind {fam.kind!r} has no certified periodic check; use a bounded scan instead"
+        )
     period = pw.canonical()
-    ev = _PeriodicEvaluator(period, fam)
-    P = ev.P
+    P = len(period)
     n = ctx.n
-    cyc = pow_cycle(ev.G, ctx)
+    G = 1
+    for x in period:
+        G = G * x % n
+    T = tuple(sum(t[x] for x in period) % n for t in fam.sum_tables())
+    cyc = pow_cycle(G, ctx)
     pre = P * (cyc.preperiod + 1)
     per = math.lcm(P * n, P * cyc.cycle_len)
     checked_max_l = pre + per
-    zero = (0,) * fam.output_dim
-    verdict = AVOIDING
+    vanishes = fam.vanishes
     counter = None
-    for l in range(2, checked_max_l + 1):
-        for s in range(P):
-            if all(ev.block_value(s + j * l, l) == zero for j in range(m)):
-                verdict = REFUTED
-                counter = (s, l)
+    for l, states in lockstep_states(period, fam, checked_max_l):
+        z = list(map(vanishes, states))
+        if any(z):
+            counter = next(
+                ((s, l) for s in range(P) if all(z[(s + j * l) % P] for j in range(m))),
+                None,
+            )
+            if counter is not None:
                 break
-        if counter is not None:
-            break
     return Certificate(
         version=CERTIFICATE_VERSION,
         n=n,
         family=fam.to_descriptor(),
         m=m,
         period=period,
-        G=ev.G,
-        T=ev.T,
+        G=G,
+        T=T,
         alpha=cyc.preperiod,
         beta=cyc.cycle_len,
         pre=pre,
         per=per,
         checked_max_l=checked_max_l,
-        verdict=verdict,
+        verdict=AVOIDING if counter is None else REFUTED,
         counter_window=counter,
     )
 

@@ -88,6 +88,19 @@ def bfs_threshold_tables(n, tables, m, max_len=64):
     raise RuntimeError(f"no threshold up to length {max_len}")
 
 
+def first_vanishing_window(period, m, max_l, vanishes):
+    """The first window (s, l) in (l, s) order, with s < len(period) and
+    2 <= l <= max_l, whose m blocks all vanish on the unrolled periodic
+    word, or None.  vanishes(block) folds one block of symbols."""
+    P = len(period)
+    word = tuple(period) * ((m * max_l) // P + 2)
+    for l in range(2, max_l + 1):
+        for s in range(P):
+            if all(vanishes(word[s + j * l : s + (j + 1) * l]) for j in range(m)):
+                return s, l
+    return None
+
+
 class Lcg:
     """Tiny deterministic generator: fixed enumeration order, no randomness
     beyond the seed."""

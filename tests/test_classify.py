@@ -8,8 +8,10 @@ from blockzero.classify import (
     UNKNOWN,
     VANISHING,
     VANISHING_PROVED,
+    CellResult,
     Classification,
     ContradictionError,
+    TableReport,
     _save_cached,
     catalog_witness,
     classify,
@@ -19,6 +21,7 @@ from blockzero.classify import (
 )
 from blockzero.families import sum_plus_c_prod
 from blockzero.ring import ModulusContext, PreconditionError
+from blockzero.search import CAP_REACHED, SearchOutcome
 from blockzero.verify import AVOIDING, recheck_certificate, verify_periodic
 from blockzero.words import PeriodicWord
 
@@ -212,6 +215,23 @@ def test_reproduce_table_flags_contradictions(tmp_path, monkeypatch):
     assert len(report.contradictions) == 1
     assert (tmp_path / "contradiction_2_0_1.json").exists()
     assert "CONTRADICTS" in mod.render_table(report)
+
+
+def test_render_table_says_what_stopped_each_unknown_cell():
+    def cell(verdict, **kw):
+        return CellResult(Classification(7, 1, 2, verdict, None, **kw), None, False)
+
+    report = TableReport((
+        cell(NONVANISHING_PROVED, witness=(2, 3)),
+        cell(VANISHING_PROVED, threshold=14),
+        cell(UNKNOWN, outcome=SearchOutcome(CAP_REACHED, None, (0,) * 24, 25, 24)),
+        cell(UNKNOWN, outcome=SearchOutcome(CAP_REACHED, None, (0,) * 13, 1000, 13, True)),
+    ), ())
+    lines = render_table(report).splitlines()
+    assert lines[2].endswith("witness 2,3")
+    assert lines[3].endswith("threshold 14")
+    assert lines[4].endswith("cap reached at length 24")
+    assert lines[5].endswith("node/time budget after 1000 nodes")
 
 
 def test_classification_round_trip():

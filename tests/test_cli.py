@@ -10,6 +10,7 @@ from blockzero.cli import (
     EXIT_USAGE,
     main,
 )
+from blockzero.classify import VANISHING
 from blockzero.verify import load_certificate
 
 
@@ -91,6 +92,24 @@ def test_classify(capsys, cache):
     assert code == EXIT_OK
     assert "verdict: nonvanishing_proved" in out
     assert "witness: 1,3,5,3" in out
+
+
+def test_classify_unknown_exits_budget(capsys, cache):
+    code, out, _ = run(capsys, "classify", "--n", "7", "--c", "0", "--m", "1",
+                       "--max-nodes", "1000")
+    assert code == EXIT_BUDGET
+    assert "verdict: unknown" in out
+
+
+def test_classify_contradiction_exit(capsys, cache, monkeypatch):
+    import importlib
+
+    mod = importlib.import_module("blockzero.cli")
+    monkeypatch.setattr(mod, "expected_verdict", lambda n, c, m: VANISHING)
+    code, out, err = run(capsys, "classify", "--n", "6", "--c", "1", "--m", "2")
+    assert code == EXIT_CONTRADICTION
+    assert "verdict: nonvanishing_proved" in out
+    assert "contradiction:" in err
 
 
 def test_usage_errors(capsys, cache):

@@ -129,6 +129,22 @@ def test_mine_witness_examples():
     assert res5.witnesses[0][0] == PeriodicWord((2, 3), 5)
 
 
+@pytest.mark.parametrize(
+    "n, m, p_max, limit, periods, checked, complete",
+    [
+        (12, 1, 2, None, [(2, 10)], 90, True),
+        # the limit stops the enumeration, so it is incomplete
+        (6, 2, 4, 1, [(1, 2)], 14, False),
+    ],
+)
+def test_mine_witness_pinned(n, m, p_max, limit, periods, checked, complete):
+    ctx = ModulusContext(n)
+    res = mine_witness(ctx, sum_plus_c_prod(ctx, 1), m, p_max, limit=limit)
+    assert [cert.period for _, cert in res.witnesses] == periods
+    assert res.candidates_checked == checked
+    assert res.complete is complete
+
+
 def test_mined_witnesses_carry_recheckable_certificates():
     ctx = ModulusContext(13)
     res = mine_witness(ctx, sum_plus_c_prod(ctx, 1), 1, 2)

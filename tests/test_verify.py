@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from blockzero.families import power_sums, sum_plus_c_prod, transformation_sums
@@ -12,10 +14,12 @@ from blockzero.verify import (
     recheck_counter_window,
     reduce_witness,
     save_certificate,
+    lockstep_states,
     scan_word,
     verify_periodic,
 )
-from blockzero.words import PeriodicWord, Word
+from blockzero.words import PeriodicWord, Word, min_rotation
+from oracles import first_vanishing_window, naive_block_sum, naive_f_c
 
 
 def test_scan_word_examples():
@@ -88,32 +92,49 @@ def test_certificate_scan_cross_check():
 
 
 def test_eventual_periodicity_of_window_verdicts():
+    # past pre, the P block states at length l recur at length l + per
     cert = avoiding_cert(9, 1, (7, 4, 4))
-    ctx = ModulusContext(9)
-    fam = sum_plus_c_prod(ctx, 1)
-    from blockzero.verify import _PeriodicEvaluator
-
-    ev = _PeriodicEvaluator(cert.period, fam)
-    P = len(cert.period)
-    for i in range(5):
-        l = cert.pre + 1 + i * max(1, cert.per // 7)
-        table_l = [ev.block_value(s, l) for s in range(P)]
-        table_l2 = [ev.block_value(s, l + cert.per) for s in range(P)]
-        assert table_l == table_l2
+    fam = sum_plus_c_prod(ModulusContext(9), 1)
+    states = dict(lockstep_states(cert.period, fam, cert.checked_max_l + cert.per))
+    for l in range(cert.pre + 1, cert.checked_max_l + 1):
+        assert states[l] == states[l + cert.per]
 
 
-def test_periodic_evaluator_matches_direct_blocks():
-    from blockzero.verify import _PeriodicEvaluator
-
+def test_lockstep_states_match_direct_blocks():
     ctx = ModulusContext(12)
     fam = sum_plus_c_prod(ctx, 11)
     period = (2, 10, 7)
-    ev = _PeriodicEvaluator(period, fam)
     word = PeriodicWord(period, 12).unroll(100, ctx)
-    for s in range(3):
-        for l in range(2, 30):
+    for l, states in lockstep_states(period, fam, 29):
+        for s, (total, prod) in enumerate(states):
             direct = (word.block_sum(s, l) + 11 * word.block_product(s, l)) % 12
-            assert ev.block_value(s, l) == (direct,)
+            assert (total + 11 * prod) % 12 == direct
+
+
+def test_verify_periodic_matches_naive_first_window():
+    # every canonical period with P <= 3 over n <= 8, against folds of the
+    # unrolled word up to checked_max_l
+    for n in range(2, 9):
+        ctx = ModulusContext(n)
+        cases = [
+            (sum_plus_c_prod(ctx, c), lambda b, c=c: naive_f_c(b, n, c) == 0)
+            for c in sorted({0, 1, n - 1, 2 % n})
+        ]
+        squares = [x * x % n for x in range(n)]
+        cases.append((
+            transformation_sums(ctx, [list(range(n)), squares]),
+            lambda b: naive_block_sum(b, n) == 0 and naive_block_sum(b, n, squares) == 0,
+        ))
+        for P in (1, 2, 3):
+            for period in itertools.product(range(n), repeat=P):
+                if period != min_rotation(period):
+                    continue
+                for fam, vanishes in cases:
+                    for m in (1, 2, 3):
+                        cert = verify_periodic(PeriodicWord(period, n), fam, m)
+                        want = first_vanishing_window(period, m, cert.checked_max_l, vanishes)
+                        assert cert.counter_window == want, (n, fam.to_descriptor(), period, m)
+                        assert cert.verdict == (AVOIDING if want is None else REFUTED)
 
 
 def test_verify_supports_vector_transformation_sums():
