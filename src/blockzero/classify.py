@@ -404,10 +404,22 @@ def reproduce_table(
         (n, c, m, budget_ms, cap, p_max, max_nodes)
         for n, c, m in _cell_args(n_max, c_kinds, m_set)
     ]
+    fresh: dict[int, str] = {}  # pooled cells computed now: index -> cache path
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            dicts = list(pool.map(_classify_cell, argses))
-        results = [Classification.from_dict(d) for d in dicts]
+        # the parent serves cached cells and is the only cache writer
+        results = [None] * len(argses)
+        if cache_dir:
+            for i, (n, c, m, *_) in enumerate(argses):
+                path = _cache_path(cache_dir, n, sum_plus_c_prod(ModulusContext(n), c), m)
+                results[i] = _load_cached(path)
+                if results[i] is None:
+                    fresh[i] = path
+        misses = [i for i, cls in enumerate(results) if cls is None]
+        if misses:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                dicts = list(pool.map(_classify_cell, [argses[i] for i in misses]))
+            for i, d in zip(misses, dicts):
+                results[i] = Classification.from_dict(d)
     else:
         results = []
         for a in argses:
@@ -419,7 +431,7 @@ def reproduce_table(
     cells = []
     contradictions = []
     dumps = []
-    for cls in results:
+    for i, cls in enumerate(results):
         exp = expected_verdict(cls.n, cls.c, cls.m)
         bad = is_contradiction(cls, exp)
         cell = CellResult(cls, exp, bad)
@@ -437,10 +449,8 @@ def reproduce_table(
                         fh, indent=1, sort_keys=True,
                     )
                 dumps.append(dump)
-        elif jobs > 1 and cache_dir:
-            # cell workers do not touch the cache; single-writer persistence
-            fam = sum_plus_c_prod(ModulusContext(cls.n), cls.c)
-            _save_cached(_cache_path(cache_dir, cls.n, fam, cls.m), cls)
+        elif i in fresh:
+            _save_cached(fresh[i], cls)
     return TableReport(tuple(cells), tuple(contradictions), tuple(dumps))
 
 

@@ -175,6 +175,33 @@ class MineResult:
     candidates_checked: int
 
 
+def _necklaces(symbols: tuple[int, ...], P: int):
+    """Every necklace of length P over the sorted symbols, as its
+    lexicographically least rotation, non-primitive ones included, in
+    lexicographic order.
+
+    This is the iterative FKM algorithm (Fredricksen & Maiorana 1978;
+    Ruskey, Savage & Wang 1992): bump the last index below the top and
+    repeat the first j + 1 indices to length P.  That walks the
+    prenecklaces in order, and a prenecklace whose period p divides P is
+    a necklace."""
+    k = len(symbols)
+    a = [0] * P
+    p = 1
+    while True:
+        if P % p == 0:
+            yield tuple([symbols[i] for i in a])
+        j = P - 1
+        while j >= 0 and a[j] == k - 1:
+            j -= 1
+        if j < 0:
+            return
+        a[j] += 1
+        p = j + 1
+        for i in range(p, P):
+            a[i] = a[i - p]
+
+
 def mine_witness(
     ctx: ModulusContext,
     fam: FunctionalFamily,
@@ -187,42 +214,47 @@ def mine_witness(
     """Enumerate canonical necklaces of period <= p_max and keep every one
     whose infinite repetition is certified avoiding.
 
-    Every canonical necklace goes straight to verify_periodic, which stops
-    at the first vanishing window, so most candidates are refuted after a
-    few block lengths.  alphabet restricts the symbols tried (e.g. nonzero
-    residues, or the residues below a divisor of n); enumeration order is
-    deterministic.  The result is incomplete (complete=False) when the
-    deadline passes or when limit witnesses have been found before the
+    Necklaces are generated directly, in lexicographic order, and go to
+    verify_periodic, which stops at the first vanishing window, so most
+    candidates are refuted after a few block lengths.  A necklace and its
+    mirror image (the reversed period) share their verdict: every family's
+    block value is a symmetric function of the block's symbols, so a block
+    and its reversal vanish together, and reversing the periodic word maps
+    each m-window of blocks of length l to one of the mirror's.  So a
+    necklace whose mirror is smaller, and hence already enumerated, is
+    skipped when the mirror was refuted, and verified for its own
+    certificate when the mirror avoids; it still counts as checked.
+
+    alphabet is the set of symbols tried (e.g. nonzero residues, or the
+    residues below a divisor of n); it is reduced mod n, and order and
+    repeats do not matter.  The result is incomplete (complete=False) when
+    the deadline passes or when limit witnesses have been found before the
     enumeration ends.
     """
     if p_max < 1:
         raise PreconditionError(f"p_max must be >= 1, got {p_max}")
-    symbols = tuple(alphabet) if alphabet is not None else tuple(range(ctx.n))
+    n = ctx.n
+    symbols = tuple(sorted({a % n for a in alphabet})) if alphabet is not None else tuple(range(n))
+    if not symbols:
+        raise PreconditionError("alphabet must be nonempty")
     witnesses = []
     checked = 0
     for P in range(1, p_max + 1):
-        period = [symbols[0]] * P
-        idx = [0] * P
-        while True:
+        avoiding = set()
+        for t in _necklaces(symbols, P):
             if deadline is not None and time.monotonic() > deadline:
                 return MineResult(tuple(witnesses), False, checked)
-            t = tuple(period)
-            if t == min_rotation(t):
-                checked += 1
-                cert = verify_periodic(PeriodicWord(t, ctx.n), fam, m)
-                if cert.verdict == AVOIDING:
-                    witnesses.append((PeriodicWord(t, ctx.n), cert))
-                    if limit is not None and len(witnesses) >= limit:
-                        return MineResult(tuple(witnesses), False, checked)
-            k = P - 1
-            while k >= 0 and idx[k] == len(symbols) - 1:
-                idx[k] = 0
-                period[k] = symbols[0]
-                k -= 1
-            if k < 0:
-                break
-            idx[k] += 1
-            period[k] = symbols[idx[k]]
+            checked += 1
+            mirror = min_rotation(t[::-1])
+            if mirror < t and mirror not in avoiding:
+                continue  # the mirror was refuted, so t is too
+            pw = PeriodicWord(t, n)
+            cert = verify_periodic(pw, fam, m)
+            if cert.verdict == AVOIDING:
+                avoiding.add(t)
+                witnesses.append((pw, cert))
+                if limit is not None and len(witnesses) >= limit:
+                    return MineResult(tuple(witnesses), False, checked)
     return MineResult(tuple(witnesses), True, checked)
 
 

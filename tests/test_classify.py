@@ -204,6 +204,31 @@ def test_reproduce_small_table(tmp_path):
     assert "threshold 8" in text
 
 
+def test_parallel_report_serves_cached_cells(tmp_path):
+    kw = dict(m_set=(1, 2), max_nodes=20_000, cache_dir=str(tmp_path))
+    first = reproduce_table(4, **kw)
+    proved = {
+        (c.classification.n, c.classification.c, c.classification.m)
+        for c in first.cells if c.classification.verdict != UNKNOWN
+    }
+    assert proved and len(proved) < len(first.cells)
+    # mark every cached entry: a recomputed cell would not carry the mark
+    for path in tmp_path.glob("cls_*.json"):
+        d = json.loads(path.read_text())
+        d["elapsed_ms"] = 987_654
+        path.write_text(json.dumps(d))
+    again = reproduce_table(4, jobs=2, **kw)
+    for cell in again.cells:
+        cls = cell.classification
+        if (cls.n, cls.c, cls.m) in proved:
+            assert cls.elapsed_ms == 987_654, (cls.n, cls.c, cls.m)
+        else:
+            assert cls.verdict == UNKNOWN and cls.elapsed_ms != 987_654
+    assert [c.classification.verdict for c in again.cells] == [
+        c.classification.verdict for c in first.cells
+    ]
+
+
 def test_reproduce_table_flags_contradictions(tmp_path, monkeypatch):
     import importlib
 

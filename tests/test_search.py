@@ -13,6 +13,7 @@ from blockzero.search import (
     CAP_REACHED,
     EXHAUSTED,
     SearchOutcome,
+    _necklaces,
     build_xyr_witness,
     longest_avoiding_word,
     mine_witness,
@@ -135,14 +136,38 @@ def test_mine_witness_examples():
         (12, 1, 2, None, [(2, 10)], 90, True),
         # the limit stops the enumeration, so it is incomplete
         (6, 2, 4, 1, [(1, 2)], 14, False),
+        # a witness and its mirror image, each with its own certificate
+        (7, 2, 3, None, [(1, 2, 4), (1, 4, 2)], 154, True),
     ],
 )
 def test_mine_witness_pinned(n, m, p_max, limit, periods, checked, complete):
     ctx = ModulusContext(n)
     res = mine_witness(ctx, sum_plus_c_prod(ctx, 1), m, p_max, limit=limit)
     assert [cert.period for _, cert in res.witnesses] == periods
+    assert all(cert.period == pw.period for pw, cert in res.witnesses)
     assert res.candidates_checked == checked
     assert res.complete is complete
+
+
+def test_necklaces_match_filtered_tuples():
+    for k in range(1, 7):
+        symbols = tuple(range(0, 2 * k, 2))  # gaps: indices are not symbols
+        for P in range(1, 6):
+            want = [t for t in product(symbols, repeat=P) if t == min_rotation(t)]
+            assert list(_necklaces(symbols, P)) == want, (k, P)
+
+
+def test_mine_alphabet_is_a_set():
+    # order, repeats and residues >= n do not change the result
+    ctx = ModulusContext(12)
+    fam = sum_plus_c_prod(ctx, 1)
+    want = mine_witness(ctx, fam, 1, 2, alphabet=range(11))
+    assert [cert.period for _, cert in want.witnesses] == [(2, 10)]
+    assert want.candidates_checked == 77
+    for alphabet in ([10, 2, 2, 9, 8, 7, 6, 5, 4, 3, 1, 0], [22, 2, 9, 8, 7, 6, 5, 4, 3, 13, 0, -2]):
+        assert mine_witness(ctx, fam, 1, 2, alphabet=alphabet) == want
+    with pytest.raises(PreconditionError):
+        mine_witness(ctx, fam, 1, 2, alphabet=[])
 
 
 def test_mined_witnesses_carry_recheckable_certificates():

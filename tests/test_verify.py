@@ -137,6 +137,25 @@ def test_verify_periodic_matches_naive_first_window():
                         assert cert.verdict == (AVOIDING if want is None else REFUTED)
 
 
+def test_mirror_image_shares_the_verdict():
+    # block values are symmetric functions of the block, so the reversed
+    # period avoids iff the period does (the miner's mirror skip rests on it)
+    for n in range(2, 8):
+        ctx = ModulusContext(n)
+        fams = [sum_plus_c_prod(ctx, c) for c in sorted({0, 1, n - 1, 2 % n})]
+        fams.append(transformation_sums(ctx, [list(range(n)), [x * x % n for x in range(n)]]))
+        for P in (1, 2, 3, 4):
+            for period in itertools.product(range(n), repeat=P):
+                mirror = min_rotation(period[::-1])
+                if period != min_rotation(period) or mirror == period:
+                    continue
+                for fam in fams:
+                    for m in (1, 2, 3):
+                        a = verify_periodic(PeriodicWord(period, n), fam, m)
+                        b = verify_periodic(PeriodicWord(mirror, n), fam, m)
+                        assert a.verdict == b.verdict, (n, fam.to_descriptor(), period, m)
+
+
 def test_verify_supports_vector_transformation_sums():
     ctx = ModulusContext(4)
     fam = transformation_sums(ctx, [[0, 1, 2, 3], [1, 2, 3, 0]])
