@@ -3,7 +3,8 @@
 Evaluates families of block functions (sum plus c times product,
 transformation sums, power sums, elementary symmetric polynomials),
 certifies periodic witnesses through a finite eventual-periodicity check,
-and decides small cases exactly by exhausting the avoidance tree.
+and decides small cases exactly by exhausting the avoidance tree (at
+m = 1, its fold into a graph of suffix-state sets).
 """
 
 from .classify import (
@@ -40,6 +41,7 @@ from .search import (
     build_xyr_witness,
     longest_avoiding_word,
     mine_witness,
+    suffix_set_search,
     xyr_solve,
 )
 from .verify import (
@@ -91,6 +93,7 @@ __all__ = [
     "save_certificate",
     "scan_word",
     "sqrt_3mod4",
+    "suffix_set_search",
     "sum_plus_c_prod",
     "transformation_sums",
     "vanishing_pairs",

@@ -1,10 +1,12 @@
 """Per-(n, c, m) verdicts for the sum-plus-c-product families.
 
 The pipeline tries, in order: a cataloged witness construction, mined
-periodic witnesses (smallest divisor alphabets first), and the
-avoidance-tree DFS.  Every returned proof object is independently
-re-checkable, and verdicts are compared against the known classification
-of these families; a verified disagreement is a hard error, not a result.
+periodic witnesses (smallest divisor alphabets first), and the avoidance
+search: at m = 1 the suffix-state-set graph, with the avoidance-tree DFS
+as its fallback, and the DFS alone at m >= 2.  Every returned proof
+object is independently re-checkable, and verdicts are compared against
+the known classification of these families; a verified disagreement is
+a hard error, not a result.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .families import FunctionalFamily, sum_plus_c_prod
@@ -25,6 +26,7 @@ from .search import (
     build_xyr_witness,
     longest_avoiding_word,
     mine_witness,
+    suffix_set_search,
     xyr_solve,
 )
 from .verify import AVOIDING, Certificate, recheck_certificate, verify_periodic
@@ -257,7 +259,8 @@ def classify(
     max_nodes: int = 300_000,
     cache_dir: str | None = None,
 ) -> Classification:
-    """Catalog, then miner, then DFS; Unknown absorbs budget exhaustion."""
+    """Catalog, then miner, then the avoidance search; Unknown absorbs
+    budget exhaustion."""
     if n < 2 or m < 1:
         raise PreconditionError(f"need n >= 2 and m >= 1, got n={n}, m={m}")
     c %= n
@@ -327,11 +330,27 @@ def classify(
         if time.monotonic() > miner_deadline:
             break
 
-    # 3. avoidance-tree DFS
+    # 3. avoidance search: at m = 1 the graph of suffix-state sets, which
+    # decides either way; the tree DFS at m >= 2, and at m = 1 when the
+    # graph's budget runs out, so an UNKNOWN still reports its cap or
+    # node stop
     search_deadline = t0 + budget_ms / 1000.0
-    outcome = longest_avoiding_word(
-        ctx, fam, m, cap, max_nodes=max_nodes, deadline=search_deadline
-    )
+    outcome = None
+    if m == 1:
+        found = suffix_set_search(ctx, fam, cap, max_nodes=max_nodes, deadline=search_deadline)
+        if found.certificate is not None:
+            return finish(
+                Classification(
+                    n, c, m, NONVANISHING_PROVED, "search",
+                    witness=found.certificate.period, certificate=found.certificate,
+                    nodes_expanded=found.states, elapsed_ms=elapsed_ms(),
+                )
+            )
+        outcome = found.outcome
+    if outcome is None:
+        outcome = longest_avoiding_word(
+            ctx, fam, m, cap, max_nodes=max_nodes, deadline=search_deadline
+        )
     if outcome.status == EXHAUSTED:
         return finish(
             Classification(
@@ -416,6 +435,8 @@ def reproduce_table(
                     fresh[i] = path
         misses = [i for i, cls in enumerate(results) if cls is None]
         if misses:
+            from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay its import
+
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 dicts = list(pool.map(_classify_cell, [argses[i] for i in misses]))
             for i, d in zip(misses, dicts):

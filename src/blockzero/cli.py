@@ -131,7 +131,7 @@ def cmd_search(args) -> int:
     print(f"nodes_expanded: {out.nodes_expanded}")
     cache_dir = resolve_cache_dir(args.cache_dir)
     append_run_record(cache_dir, "search", sys.argv[2:], started, out.status, [])
-    return EXIT_BUDGET if out.budget_exhausted else EXIT_OK
+    return EXIT_OK if out.status == EXHAUSTED else EXIT_BUDGET
 
 
 def cmd_mine(args) -> int:

@@ -8,7 +8,8 @@ serializable and user-definable from files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import gcd
 
 from .ring import ModulusContext, PreconditionError
 from .words import Word, identity_table
@@ -26,6 +27,13 @@ class FunctionalFamily:
     c: int | None = None
     tables: tuple[tuple[int, ...], ...] | None = None
     r: int | None = None
+    # F_c's product is kept mod this (see block_state); n for other kinds
+    _product_modulus: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = self.ctx.n
+        q = n // gcd(n, self.c) if self.kind == SUM_PLUS_C_PROD else n
+        object.__setattr__(self, "_product_modulus", q)
 
     @property
     def output_dim(self) -> int:
@@ -50,14 +58,16 @@ class FunctionalFamily:
     # A block's value is a function of a small state built one symbol at a
     # time: (sum, product) for F_c, the vector of table sums for
     # transformation and power sums, and (e_1..e_r) for elementary
-    # symmetric polynomials.
+    # symmetric polynomials.  F_c reads the product p only through c*p mod
+    # n, which depends only on p mod n / gcd(n, c), so the state keeps p
+    # reduced by that modulus (for c = 0, only the sum is left).
 
     def block_state(self, a: int) -> tuple[int, ...]:
         """The state of the one-symbol block (a)."""
         n = self.ctx.n
         a %= n
         if self.kind == SUM_PLUS_C_PROD:
-            return (a, a)
+            return (a, a % self._product_modulus)
         if self.kind == TRANSFORMATION_SUMS:
             return tuple(t[a] for t in self.tables)
         if self.kind == POWER_SUMS:
@@ -72,7 +82,7 @@ class FunctionalFamily:
         a %= n
         if self.kind == SUM_PLUS_C_PROD:
             s, p = state
-            return ((s + a) % n, p * a % n)
+            return ((s + a) % n, p * a % self._product_modulus)
         if self.kind == TRANSFORMATION_SUMS:
             return tuple((x + t[a]) % n for x, t in zip(state, self.tables))
         if self.kind == POWER_SUMS:

@@ -8,16 +8,21 @@ family's block states (FunctionalFamily.block_state/extend/vanishes), not
 on a Word: every distinct state is expanded once into its successors and
 the set of symbols whose extension vanishes, so a node finds all of its
 forbidden children with a few bitmask ORs instead of scanning windows.
+At m = 1 suffix_set_search folds the tree into a graph on the sets of
+suffix states and decides either way: a cycle is a periodic witness, and
+an exhausted graph gives the exact threshold.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import reduce
+from operator import getitem, or_
 
 from .families import FunctionalFamily
 from .ring import ModulusContext, PreconditionError, is_cubic_residue, is_prime, sqrt_3mod4
-from .verify import AVOIDING, verify_periodic
+from .verify import AVOIDING, Certificate, verify_periodic
 from .words import PeriodicWord, min_rotation
 
 EXHAUSTED = "exhausted"
@@ -38,6 +43,41 @@ class SearchOutcome:
     budget_exhausted: bool = False
 
 
+class _StateTable:
+    """A family's block states interned as ids 0, 1, ...: each id gets, on
+    first use (expand), a row of successor ids (rows[i][a]: state i
+    extended by a) and a mask of the symbols whose extension vanishes.
+    singles[a] is the id of the one-symbol block (a)."""
+
+    def __init__(self, fam: FunctionalFamily, n: int):
+        self.fam, self.n = fam, n
+        self.ids: dict[tuple[int, ...], int] = {}
+        self.states: list[tuple[int, ...]] = []
+        self.rows: list[list[int] | None] = []
+        self.masks: list[int] = []
+        self.singles = [self.intern(fam.block_state(a)) for a in range(n)]
+
+    def intern(self, st: tuple[int, ...]) -> int:
+        i = self.ids.get(st)
+        if i is None:
+            i = self.ids[st] = len(self.states)
+            self.states.append(st)
+            self.rows.append(None)
+            self.masks.append(0)
+        return i
+
+    def expand(self, i: int) -> list[int]:
+        fam, st = self.fam, self.states[i]
+        row, mask = [], 0
+        for a in range(self.n):
+            nxt = fam.extend(st, a)
+            row.append(self.intern(nxt))
+            if fam.vanishes(nxt):
+                mask |= 1 << a
+        self.rows[i], self.masks[i] = row, mask
+        return row
+
+
 def longest_avoiding_word(
     ctx: ModulusContext,
     fam: FunctionalFamily,
@@ -52,11 +92,10 @@ def longest_avoiding_word(
     longest_word is the first word found at that depth.  Cap or budget
     exhaustion yields CapReached with the deepest avoiding frontier found.
 
-    A node keeps the block states of its suffixes, interned as ids; each
-    id gets, on first use, a row of successor ids and a mask of the
-    symbols whose extension vanishes.  Child a ends a vanishing window of
-    block length l iff the m - 1 earlier blocks vanish and bit a of the
-    length-(l - 1) suffix's mask is set.  For m = 1 the forbidden children
+    A node keeps the block states of its suffixes, interned as ids in a
+    _StateTable.  Child a ends a vanishing window of block length l iff
+    the m - 1 earlier blocks vanish and bit a of the length-(l - 1)
+    suffix's mask is set.  For m = 1 the forbidden children
     are the OR of the masks over the set of suffix states; for m >= 2 the
     earlier blocks are read from per-depth bitmasks of vanishing lengths.
     """
@@ -65,31 +104,8 @@ def longest_avoiding_word(
     if m < 1:
         raise PreconditionError(f"m must be >= 1, got {m}")
     n = ctx.n
-    ids: dict[tuple[int, ...], int] = {}
-    states: list[tuple[int, ...]] = []
-    rows: list[list[int] | None] = []  # rows[i][a]: id of state i extended by a
-    masks: list[int] = []  # bit a: the extension of state i by a vanishes
-
-    def intern(st: tuple[int, ...]) -> int:
-        i = ids.get(st)
-        if i is None:
-            i = ids[st] = len(states)
-            states.append(st)
-            rows.append(None)
-            masks.append(0)
-        return i
-
-    def expand(i: int) -> list[int]:
-        row, mask = [], 0
-        for a in range(n):
-            nxt = fam.extend(states[i], a)
-            row.append(intern(nxt))
-            if fam.vanishes(nxt):
-                mask |= 1 << a
-        rows[i], masks[i] = row, mask
-        return row
-
-    singles = [intern(fam.block_state(a)) for a in range(n)]
+    table = _StateTable(fam, n)
+    rows, masks, expand, singles = table.rows, table.masks, table.expand, table.singles
     word: list[int] = []
     # vanishing[d]: bit l set iff the length-l block ending at depth d vanishes
     vanishing = [0]
@@ -166,6 +182,151 @@ def longest_avoiding_word(
     return SearchOutcome(
         CAP_REACHED, None, best_word, nodes, best, budget_exhausted=(stop == "budget")
     )
+
+
+@dataclass(frozen=True)
+class SuffixSetResult:
+    """What suffix_set_search settled: outcome when it explored every
+    reachable state (the exact threshold), certificate when it closed a
+    cycle (an avoiding period), neither when a budget stopped it."""
+
+    states: int
+    outcome: SearchOutcome | None = None
+    certificate: Certificate | None = None
+
+
+def suffix_set_search(
+    ctx: ModulusContext,
+    fam: FunctionalFamily,
+    cap: int,
+    max_nodes: int | None = None,
+    deadline: float | None = None,
+) -> SuffixSetResult:
+    """Decide m = 1 exactly on the graph of suffix-state sets.
+
+    At m = 1 an avoiding word's extensions depend only on the set of block
+    states of its suffixes: symbol a is forbidden iff some state's
+    extension by a vanishes, and otherwise the child's set is every
+    state extended by a plus the one-symbol block (a).  So the avoidance
+    tree folds into a graph on these sets (the subset construction), which
+    an iterative DFS walks as a lasso search:
+
+    - an edge back to a set on the current path closes a cycle; the
+      symbols read since that set form a period v, and u·v^ω avoids, so
+      v^ω does too.  The result carries v's AVOIDING certificate.
+    - when every reachable set is finished, the longest path from the
+      root plus one is the exact threshold, and the longest word (ascending
+      symbol order, as the tree DFS finds it) is read off the memo.
+
+    A set is an int bitmask over the ids of the closure of the one-symbol
+    states.  Per-byte tables give, for each 8 ids, the OR of their
+    vanishing masks and of their child bits under every symbol, packed in
+    one int, so a set's forbidden symbols and children take one lookup per
+    byte of its mask.  Each set entered counts against max_nodes; the cap
+    does not apply, since a proof does not depend on depth, and is only
+    recorded in the outcome.
+    """
+    if cap < 2:
+        raise PreconditionError(f"cap must be >= 2, got {cap}")
+    n = ctx.n
+    table = _StateTable(fam, n)
+    i = 0
+    while i < len(table.states):  # the closure of the one-symbol states
+        table.expand(i)
+        i += 1
+    K = len(table.states)
+    top = n * K  # the vanishing mask sits above the n packed child masks
+    full = (1 << K) - 1
+    nbytes = (K + 7) // 8
+    packed = [
+        sum(1 << (a * K + j) for a, j in enumerate(row)) | mask << top
+        for row, mask in zip(table.rows, table.masks)
+    ] + [0] * (8 * nbytes - K)
+    byte_tables = []
+    for k in range(nbytes):
+        t = [0] * 256
+        for b in range(1, 256):
+            low = b & -b
+            t[b] = t[b ^ low] | packed[8 * k + low.bit_length() - 1]
+        byte_tables.append(t)
+
+    # (a, shift of a's child mask, bit of the one-symbol block (a)); the
+    # arcs each forbidden mask leaves are kept for the first 4,096 masks
+    # met, so the cache stays small at large n
+    arcs = [(a, a * K, 1 << j) for a, j in enumerate(table.singles)]
+    allowed_by_mask: dict[int, list[tuple[int, int, int]]] = {}
+
+    def children(S: int) -> list[tuple[int, int]]:
+        """(a, child set) for each symbol a allowed after the set S."""
+        acc = reduce(or_, map(getitem, byte_tables, S.to_bytes(nbytes, "little")), 0)
+        forbidden = acc >> top
+        allowed = allowed_by_mask.get(forbidden)
+        if allowed is None:
+            allowed = [arc for arc in arcs if not forbidden >> arc[0] & 1]
+            if len(allowed_by_mask) < 4096:
+                allowed_by_mask[forbidden] = allowed
+        return [(a, acc >> shift & full | single) for a, shift, single in allowed]
+
+    # longest[S]: the longest path from S, final once S leaves the path;
+    # a set on the path holds 0, and its running maximum is kept in best
+    # (in its stack entry while a child is being searched)
+    longest = {0: 0}
+    path = {0: 0}  # set on the current path -> its depth
+    word: list[int] = []
+    stack: list[tuple] = []  # (set, remaining children, best) of each parent of S
+    limit = max_nodes if max_nodes is not None else float("inf")
+    check_every = 64
+    S, todo, best = 0, iter(children(0)), 0  # the empty word: no suffixes
+    # the deadline is read at the root and then every 64 sets, so a search
+    # that starts after its deadline does no work and one that runs past
+    # it overshoots by well under a millisecond
+    stopped = limit <= 1 or (deadline is not None and time.monotonic() > deadline)
+    while not stopped:
+        for a, child in todo:
+            if child in path:
+                period = tuple(word[path[child]:]) + (a,)
+                cert = verify_periodic(PeriodicWord(period, n), fam, 1)
+                if cert.verdict != AVOIDING:
+                    raise InternalInvariantError(
+                        f"cycle period {period} is {cert.verdict} at m = 1"
+                    )
+                return SuffixSetResult(len(longest), certificate=cert)
+            done = longest.get(child)
+            if done is None:
+                stack.append((S, todo, best))
+                word.append(a)
+                S, todo, best = child, iter(children(child)), 0
+                longest[S] = 0
+                path[S] = len(word)
+                states = len(longest)
+                stopped = states >= limit or (
+                    deadline is not None
+                    and states % check_every == 0
+                    and time.monotonic() > deadline
+                )
+                break
+            if done >= best:
+                best = done + 1
+        else:
+            longest[S] = best
+            del path[S]
+            if not stack:
+                break
+            word.pop()
+            done = best
+            S, todo, best = stack.pop()
+            if done >= best:
+                best = done + 1
+    if stopped:
+        return SuffixSetResult(len(longest))
+    # the lexicographically first longest word: the smallest symbol whose
+    # child keeps the maximum, from the root down
+    best_word, S = [], 0
+    while longest[S]:
+        a, S = next((a, ch) for a, ch in children(S) if longest[ch] == longest[S] - 1)
+        best_word.append(a)
+    outcome = SearchOutcome(EXHAUSTED, longest[0] + 1, tuple(best_word), len(longest), cap)
+    return SuffixSetResult(len(longest), outcome=outcome)
 
 
 @dataclass(frozen=True)

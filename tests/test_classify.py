@@ -111,6 +111,32 @@ def test_classify_search_examples():
     assert (cls.verdict, cls.threshold) == (VANISHING_PROVED, 8)
 
 
+def test_classify_m1_uses_the_suffix_set_graph():
+    # F_0 mod 7 is decided on the graph of suffix-state sets, far inside
+    # the 40,000-node budget the tree DFS ran out of
+    cls = classify(7, 0, 1, max_nodes=40_000)
+    assert (cls.verdict, cls.provenance, cls.threshold) == (VANISHING_PROVED, "search", 14)
+    assert cls.nodes_expanded == cls.outcome.nodes_expanded == 128
+    # with the miner held to constant periods, a cycle of the graph is the
+    # witness, and it carries its certificate
+    cls = classify(5, 1, 1, p_max=1)
+    assert (cls.verdict, cls.provenance, cls.witness) == (NONVANISHING_PROVED, "search", (2, 3))
+    assert cls.certificate.period == cls.witness and recheck_certificate(cls.certificate)
+    assert cls.nodes_expanded == 20
+
+
+def test_classify_m1_falls_back_to_the_dfs_on_a_graph_budget_stop():
+    # F_{-1} mod 7 needs 692,823 sets; past 40,000 the DFS reports its cap stop
+    cls = classify(7, 6, 1, max_nodes=40_000)
+    assert cls.verdict == UNKNOWN and cls.provenance is None
+    assert cls.outcome == SearchOutcome(
+        CAP_REACHED, None,
+        (0, 1, 0, 1, 2, 5, 2, 5, 2, 5, 2, 1, 0, 1, 4, 3, 4, 3, 4, 3, 4, 3, 4, 3),
+        6_181, 24,
+    )
+    assert cls.nodes_expanded == 6_181
+
+
 def test_classify_unknown_under_tiny_budget():
     # F_1 mod 8 is vanishing but far beyond this node budget
     cls = classify(8, 1, 1, max_nodes=1000, cap=30)
@@ -119,14 +145,15 @@ def test_classify_unknown_under_tiny_budget():
 
 
 def test_cached_unknown_does_not_block_a_larger_budget(tmp_path):
-    small = classify(7, 0, 1, max_nodes=1000, cache_dir=str(tmp_path))
+    # F_{-1} mod 6 needs 5,783 suffix-state sets, so 1,000 nodes leave it open
+    small = classify(6, 5, 1, max_nodes=1000, cache_dir=str(tmp_path))
     assert small.verdict == UNKNOWN
     assert small.nodes_expanded == 1000
-    full = classify(7, 0, 1, cache_dir=str(tmp_path))
-    assert (full.verdict, full.threshold) == (VANISHING_PROVED, 14)
-    assert full.nodes_expanded == 151_946
+    full = classify(6, 5, 1, cache_dir=str(tmp_path))
+    assert (full.verdict, full.threshold) == (VANISHING_PROVED, 20)
+    assert full.nodes_expanded == 5_783
     # the proved verdict replaced the UNKNOWN and is served from now on
-    assert classify(7, 0, 1, max_nodes=1000, cache_dir=str(tmp_path)) == full
+    assert classify(6, 5, 1, max_nodes=1000, cache_dir=str(tmp_path)) == full
 
 
 def test_classify_c_reduces_mod_n(tmp_path):

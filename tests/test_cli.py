@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -73,6 +76,15 @@ def test_search_budget_exit(capsys, cache):
     assert "status: cap_reached" in out
 
 
+def test_search_cap_stop_exits_budget(capsys, cache):
+    # F_{-1} mod 7 reaches the cap with no node budget set: partial output
+    code, out, _ = run(capsys, "search", "--n", "7", "--family", "sum_plus_c_prod:6",
+                       "--cap", "24")
+    assert code == EXIT_BUDGET
+    assert "status: cap_reached" in out
+    assert "threshold" not in out
+
+
 def test_mine(capsys, cache):
     code, out, _ = run(capsys, "mine", "--n", "12", "--family", "sum_plus_c_prod:1",
                        "--pmax", "2")
@@ -95,7 +107,7 @@ def test_classify(capsys, cache):
 
 
 def test_classify_unknown_exits_budget(capsys, cache):
-    code, out, _ = run(capsys, "classify", "--n", "7", "--c", "0", "--m", "1",
+    code, out, _ = run(capsys, "classify", "--n", "6", "--c", "5", "--m", "1",
                        "--max-nodes", "1000")
     assert code == EXIT_BUDGET
     assert "verdict: unknown" in out
@@ -156,3 +168,16 @@ def test_report_small_grid(capsys, cache, tmp_path):
     assert "0 contradiction(s)" in out
     data = json.loads(json_out.read_text())
     assert len(data["cells"]) == 5
+
+
+def test_cli_import_leaves_concurrent_futures_out():
+    # only `report --jobs N` with N > 1 uses a process pool
+    import blockzero
+
+    src = os.path.dirname(os.path.dirname(blockzero.__file__))
+    probe = "import sys, blockzero.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout.strip() == "False"

@@ -1,3 +1,5 @@
+from math import gcd, prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -191,3 +193,26 @@ def test_eval_agrees_with_naive_f_c():
         symbols = tuple(gen.below(n) for _ in range(l))
         fam = sum_plus_c_prod(ctx, c)
         assert eval_family(fam, make_block(ctx, symbols)) == (naive_f_c(symbols, n, c),)
+
+
+def test_f_c_state_keeps_the_product_mod_n_over_gcd():
+    # F_c reads the product only through c*p, so the hook keeps p mod
+    # n / gcd(n, c) (the sum alone for c = 0) and still tells every block
+    # value's vanishing
+    gen = Lcg(53)
+    for _ in range(500):
+        n = 2 + gen.below(29)
+        ctx = ModulusContext(n)
+        c = gen.below(n)
+        fam = sum_plus_c_prod(ctx, c)
+        symbols = tuple(gen.below(n) for _ in range(1 + gen.below(8)))
+        state = fam.block_state(symbols[0])
+        for a in symbols[1:]:
+            state = fam.extend(state, a)
+        q = n // gcd(n, c)
+        assert state == (sum(symbols) % n, prod(symbols) % q)
+        if len(symbols) >= 2:
+            assert fam.vanishes(state) == (naive_f_c(symbols, n, c) == 0)
+    assert {sum_plus_c_prod(ModulusContext(7), 0).block_state(a) for a in range(7)} == {
+        (a, 0) for a in range(7)
+    }

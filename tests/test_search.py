@@ -1,3 +1,5 @@
+import time
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -12,20 +14,23 @@ from blockzero.ring import ModulusContext, PreconditionError
 from blockzero.search import (
     CAP_REACHED,
     EXHAUSTED,
+    InternalInvariantError,
     SearchOutcome,
     _necklaces,
     build_xyr_witness,
     longest_avoiding_word,
     mine_witness,
+    suffix_set_search,
     xyr_solve,
 )
-from blockzero.verify import AVOIDING, recheck_certificate, scan_word
+from blockzero.verify import AVOIDING, REFUTED, recheck_certificate, scan_word
 from blockzero.words import PeriodicWord, Word, min_rotation
 
 from oracles import (
     Lcg,
     bfs_threshold,
     bfs_threshold_tables,
+    first_vanishing_window,
     naive_elementary_symmetric,
     naive_f_c,
 )
@@ -350,3 +355,120 @@ def test_elementary_symmetric_cap_reached_word_avoids():
     assert out.status == CAP_REACHED and not out.budget_exhausted
     assert len(out.longest_word) == 16
     assert_avoids(ctx, fam, 2, out.longest_word)
+
+
+def set_search(n, c, cap=24, **kw):
+    ctx = ModulusContext(n)
+    return suffix_set_search(ctx, sum_plus_c_prod(ctx, c), cap, **kw)
+
+
+def assert_same_as_dfs(ctx, fam, found):
+    """The set search's outcome is the exhausted DFS's, up to the count."""
+    dfs = longest_avoiding_word(ctx, fam, 1, cap=24)
+    assert dfs.status == EXHAUSTED
+    assert found.certificate is None
+    assert found.outcome == SearchOutcome(
+        EXHAUSTED, dfs.threshold, dfs.longest_word, found.states, 24
+    )
+
+
+def test_suffix_set_search_matches_dfs_and_oracle_on_f_c():
+    # every F_c with n <= 6: a cell the DFS exhausts gets the same
+    # threshold and lexicographically first longest word, and a cell where
+    # the DFS reaches its cap closes a cycle instead
+    cycles = 0
+    for n in range(2, 7):
+        ctx = ModulusContext(n)
+        for c in range(n):
+            fam = sum_plus_c_prod(ctx, c)
+            found = suffix_set_search(ctx, fam, 24, max_nodes=20_000)
+            if found.certificate is not None:
+                assert longest_avoiding_word(ctx, fam, 1, cap=24).status == CAP_REACHED
+                assert found.certificate.verdict == AVOIDING
+                cycles += 1
+                continue
+            assert_same_as_dfs(ctx, fam, found)
+            if n <= 4:
+                assert (found.outcome.threshold, found.outcome.longest_word) == bfs_threshold(n, c, 1)
+    assert cycles == 7
+
+
+def test_suffix_set_search_folds_the_tree():
+    # F_0 mod 7: the DFS takes 151,946 nodes, the sets of suffix sums are 128
+    ctx = ModulusContext(7)
+    fam = sum_plus_c_prod(ctx, 0)
+    found = suffix_set_search(ctx, fam, 24)
+    assert found.states == 128
+    assert found.outcome.threshold == 14
+    assert_same_as_dfs(ctx, fam, found)
+    found = set_search(6, 5)
+    assert (found.outcome.threshold, found.states) == (20, 5_783)
+
+
+@pytest.mark.parametrize(
+    "n,tables",
+    [
+        (2, ((0, 1), (1, 0))),  # identity and x + 1
+        (3, ((0, 1, 2), (1, 2, 2))),  # identity and x^2 + 1
+        (4, ((0, 1, 2, 3), (0, 1, 0, 1))),  # identity and x^2
+    ],
+)
+def test_suffix_set_search_matches_on_transformation_sums(n, tables):
+    ctx = ModulusContext(n)
+    fam = transformation_sums(ctx, tables)
+    found = suffix_set_search(ctx, fam, 24)
+    assert_same_as_dfs(ctx, fam, found)
+    if n <= 3:
+        want = bfs_threshold_tables(n, tables, 1)
+        assert (found.outcome.threshold, found.outcome.longest_word) == want
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_suffix_set_search_matches_on_power_sums(n):
+    ctx = ModulusContext(n)
+    fam = power_sums(ctx, 2)
+    found = suffix_set_search(ctx, fam, 24)
+    assert_same_as_dfs(ctx, fam, found)
+    if n <= 3:
+        tables = (tuple(range(n)), tuple(x * x % n for x in range(n)))
+        want = bfs_threshold_tables(n, tables, 1)
+        assert (found.outcome.threshold, found.outcome.longest_word) == want
+
+
+@pytest.mark.parametrize("n,c", [(5, 1), (6, 2), (12, 1)])
+def test_suffix_set_cycle_is_a_certified_period(n, c):
+    found = set_search(n, c, max_nodes=10_000)
+    cert = found.certificate
+    assert found.outcome is None and cert is not None
+    assert cert.verdict == AVOIDING and recheck_certificate(cert)
+    naive = first_vanishing_window(
+        cert.period, 1, cert.checked_max_l, lambda b: naive_f_c(b, n, c) == 0
+    )
+    assert naive is None
+
+
+def test_suffix_set_cycle_that_fails_verification_is_an_error(monkeypatch):
+    import blockzero.search as search_mod
+
+    real = search_mod.verify_periodic
+
+    def refuting(pw, fam, m):
+        return replace(real(pw, fam, m), verdict=REFUTED)
+
+    monkeypatch.setattr(search_mod, "verify_periodic", refuting)
+    with pytest.raises(InternalInvariantError):
+        set_search(5, 1)
+
+
+def test_suffix_set_search_budgets():
+    # F_{-1} mod 7 has 692,823 reachable sets: every budget stops it
+    out = set_search(7, 6, max_nodes=1000)
+    assert (out.states, out.outcome, out.certificate) == (1000, None, None)
+    # the deadline is read at the root and then every 64 sets
+    out = set_search(7, 6, deadline=time.monotonic() - 1)
+    assert (out.states, out.outcome, out.certificate) == (1, None, None)
+    out = set_search(7, 6, deadline=time.monotonic() + 0.05)
+    assert out.states == 1 or out.states % 64 == 0
+    assert (out.outcome, out.certificate) == (None, None)
+    with pytest.raises(PreconditionError):
+        set_search(2, 0, cap=1)
