@@ -208,19 +208,38 @@ def _cache_path(cache_dir: str, n: int, fam: FunctionalFamily, m: int) -> str:
     return os.path.join(cache_dir, f"cls_{n}_{family_hash(fam)}_{m}.json")
 
 
-def _load_cached(path: str) -> Classification | None:
-    """A cached proved verdict, or None.  An UNKNOWN records only that one
-    budget ran out, so it is never served: a later call may have more."""
+def _load_cached(path: str, n: int, fam: FunctionalFamily, m: int) -> Classification | None:
+    """The cached proved verdict of cell (n, fam, m), or None to recompute.
+
+    An entry is served only if it is about the requested cell and its
+    proof fits its verdict: a witness with a re-checked avoiding
+    certificate for that cell, or an exhausted search whose threshold is
+    one past its longest word.  An UNKNOWN records only that one budget
+    ran out, so it is never served: a later call may have more."""
     if not os.path.exists(path):
         return None
     with open(path) as fh:
         cls = Classification.from_dict(json.load(fh))
-    if cls.verdict == UNKNOWN:
-        return None
+    if (cls.n, cls.c, cls.m) != (n, fam.c, m):
+        return None  # a file of another cell
     if cls.verdict == NONVANISHING_PROVED:
-        if cls.certificate is None or not recheck_certificate(cls.certificate):
-            return None  # stale or corrupt: recompute
-    return cls
+        cert = cls.certificate
+        ok = (
+            cert is not None
+            and (cert.n, cert.family, cert.m, cert.period, cert.verdict)
+            == (n, fam.to_descriptor(), m, cls.witness, AVOIDING)
+            and recheck_certificate(cert)
+        )
+    elif cls.verdict == VANISHING_PROVED:
+        out = cls.outcome
+        ok = (
+            out is not None
+            and out.status == EXHAUSTED
+            and cls.threshold == out.threshold == len(out.longest_word) + 1
+        )
+    else:
+        ok = False
+    return cls if ok else None  # otherwise stale or corrupt: recompute
 
 
 def _save_cached(path: str, cls: Classification) -> None:
@@ -229,9 +248,12 @@ def _save_cached(path: str, cls: Classification) -> None:
         with open(path) as fh:
             existing = json.load(fh)
     if existing is not None:
+        # a proved verdict of the same cell must not flip; a file of
+        # another cell at this path is simply replaced
         proved = {VANISHING_PROVED, NONVANISHING_PROVED}
         if (
-            existing["verdict"] in proved
+            (existing.get("n"), existing.get("c"), existing.get("m")) == (cls.n, cls.c, cls.m)
+            and existing["verdict"] in proved
             and cls.verdict in proved
             and existing["verdict"] != cls.verdict
         ):
@@ -268,7 +290,7 @@ def classify(
     fam = sum_plus_c_prod(ctx, c)
     path = _cache_path(cache_dir, n, fam, m) if cache_dir else None
     if path:
-        cached = _load_cached(path)
+        cached = _load_cached(path, n, fam, m)
         if cached is not None:
             return cached
 
@@ -429,8 +451,9 @@ def reproduce_table(
         results = [None] * len(argses)
         if cache_dir:
             for i, (n, c, m, *_) in enumerate(argses):
-                path = _cache_path(cache_dir, n, sum_plus_c_prod(ModulusContext(n), c), m)
-                results[i] = _load_cached(path)
+                fam = sum_plus_c_prod(ModulusContext(n), c)
+                path = _cache_path(cache_dir, n, fam, m)
+                results[i] = _load_cached(path, n, fam, m)
                 if results[i] is None:
                     fresh[i] = path
         misses = [i for i, cls in enumerate(results) if cls is None]

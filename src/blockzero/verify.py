@@ -12,6 +12,16 @@ state of the length-l block at each of the P start residues, grows all of
 them by one symbol per length, and reads each m-window off the residues
 its blocks start at.  The length bound holds for F_c and transformation
 sums; other family kinds raise UnsupportedFamilyError.
+
+The pass stops at the first vanishing window or at the first repeated
+state vector, whichever comes first.  Going from length l to l + 1 extends
+the block at residue t by period[(t + l - 1) mod P], and window (s, l)
+reads the residues (s + j*l) mod P: both depend on l only through l mod P.
+So if the P states at lengths l1 < l2 are equal and l2 = l1 (mod P), every
+length from l2 on repeats the verdicts of [l1, l2), which the pass has
+already checked.  The certificate's bound fields are computed as before:
+checked_max_l stays the certificate's length bound and the pass's upper
+limit, so the certificate does not depend on where the pass stopped.
 """
 
 from __future__ import annotations
@@ -140,7 +150,10 @@ def verify_periodic(pw: PeriodicWord, fam: FunctionalFamily, m: int) -> Certific
 
     The window (s, l) vanishes iff the length-l blocks at residues
     (s + j*l) mod P vanish for every j < m, so one lockstep pass over the
-    lengths finds the first vanishing window in (l, s) order."""
+    lengths finds the first vanishing window in (l, s) order.  The pass
+    returns AVOIDING early when the state vector at some length equals the
+    one at an earlier length congruent mod P (see the module docstring),
+    and never scans beyond checked_max_l."""
     if m < 1:
         raise PreconditionError(f"m must be >= 1, got {m}")
     ctx = fam.ctx
@@ -163,6 +176,10 @@ def verify_periodic(pw: PeriodicWord, fam: FunctionalFamily, m: int) -> Certific
     checked_max_l = pre + per
     vanishes = fam.vanishes
     counter = None
+    # Brent's cycle test on (l mod P, states): a mark, first taken at
+    # length 2, is compared at the multiples of P past it and moves on at
+    # a span that doubles
+    mark_l, mark, span = 2 - P, None, P
     for l, states in lockstep_states(period, fam, checked_max_l):
         z = list(map(vanishes, states))
         if any(z):
@@ -172,6 +189,11 @@ def verify_periodic(pw: PeriodicWord, fam: FunctionalFamily, m: int) -> Certific
             )
             if counter is not None:
                 break
+        if (l - mark_l) % P == 0:
+            if states == mark:
+                break  # lengths from l on repeat the verdicts of [mark_l, l)
+            if l - mark_l >= span:
+                mark_l, mark, span = l, states, 2 * span
     return Certificate(
         version=CERTIFICATE_VERSION,
         n=n,
@@ -191,11 +213,12 @@ def verify_periodic(pw: PeriodicWord, fam: FunctionalFamily, m: int) -> Certific
 
 
 def recheck_certificate(cert: Certificate) -> bool:
-    """Re-derive the verdict from scratch; True iff it matches the stored one."""
+    """Re-derive the certificate from scratch; True iff every field,
+    the bound fields included, matches the stored one."""
     ctx = ModulusContext(cert.n)
     fam = family_from_descriptor(ctx, cert.family)
     fresh = verify_periodic(PeriodicWord(cert.period, cert.n), fam, cert.m)
-    return fresh.verdict == cert.verdict and fresh.counter_window == cert.counter_window
+    return fresh.to_dict() == cert.to_dict()
 
 
 def recheck_counter_window(cert: Certificate) -> bool:

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -12,6 +13,7 @@ from blockzero.classify import (
     Classification,
     ContradictionError,
     TableReport,
+    _cache_path,
     _save_cached,
     catalog_witness,
     classify,
@@ -192,6 +194,52 @@ def test_corrupt_cache_is_recomputed(tmp_path):
     again = classify(13, 1, 1, cache_dir=str(tmp_path))
     assert again.witness == cls.witness
     assert recheck_certificate(again.certificate)
+
+
+def _cell_path(cache_dir, n, c, m):
+    return _cache_path(str(cache_dir), n, sum_plus_c_prod(ModulusContext(n), c), m)
+
+
+def test_cache_file_of_another_cell_is_not_served(tmp_path):
+    # a proved file copied to the path of another cell proves nothing there
+    for src, dst in [((5, 0, 1), (5, 1, 1)), ((12, 1, 1), (12, 11, 2))]:
+        d = tmp_path / f"{src}_{dst}"
+        d.mkdir()
+        classify(*src, cache_dir=str(d))
+        shutil.copy(_cell_path(d, *src), _cell_path(d, *dst))
+        got = classify(*dst, cache_dir=str(d))
+        assert {**got.to_dict(), "elapsed_ms": 0} == {**classify(*dst).to_dict(), "elapsed_ms": 0}
+        assert got.verdict == NONVANISHING_PROVED and (got.n, got.c, got.m) == dst
+
+
+def test_cache_entry_must_match_its_cell_and_proof(tmp_path):
+    # entries edited to claim the requested cell are recomputed unless the
+    # proof inside fits: certificate cell and witness, exhausted outcome
+    nonvan = classify(12, 1, 1, cache_dir=str(tmp_path)).to_dict()
+    van = classify(4, 1, 1, cache_dir=str(tmp_path)).to_dict()
+    assert van["verdict"] == VANISHING_PROVED and van["threshold"] == 8
+    edits = [
+        ((12, 11, 1), {**nonvan, "c": 11}),  # certificate of c = 1
+        ((12, 1, 2), {**nonvan, "m": 2}),  # certificate of m = 1
+        ((12, 1, 1), {**nonvan, "witness": [1, 11]}),  # witness not the period
+        ((4, 1, 1), {**van, "threshold": 9}),
+        ((4, 1, 1), {**van, "outcome": {**van["outcome"], "threshold": 9}}),
+        ((4, 1, 1), {**van, "outcome": {**van["outcome"], "status": CAP_REACHED}}),
+        ((4, 1, 1), {**van, "outcome": None}),
+    ]
+    for cell, d in edits:
+        path = _cell_path(tmp_path, *cell)
+        d = {**d, "elapsed_ms": 987_654}
+        with open(path, "w") as fh:
+            json.dump(d, fh)
+        got = classify(*cell, cache_dir=str(tmp_path))
+        assert got.elapsed_ms != 987_654, (cell, d)
+        assert (got.n, got.c, got.m) == cell
+    # an intact entry is served as it is
+    path = _cell_path(tmp_path, 4, 1, 1)
+    with open(path, "w") as fh:
+        json.dump({**van, "elapsed_ms": 987_654}, fh)
+    assert classify(4, 1, 1, cache_dir=str(tmp_path)).elapsed_ms == 987_654
 
 
 def test_classify_preconditions():

@@ -1,11 +1,16 @@
 import itertools
+import json
+import math
 
 import pytest
 
-from blockzero.families import power_sums, sum_plus_c_prod, transformation_sums
+import blockzero.verify
+from blockzero.families import FunctionalFamily, power_sums, sum_plus_c_prod, transformation_sums
 from blockzero.ring import ModulusContext, PreconditionError
+from blockzero.search import build_xyr_witness, xyr_solve
 from blockzero.verify import (
     AVOIDING,
+    CERTIFICATE_VERSION,
     REFUTED,
     Certificate,
     UnsupportedFamilyError,
@@ -111,20 +116,52 @@ def test_lockstep_states_match_direct_blocks():
             assert (total + 11 * prod) % 12 == direct
 
 
+def full_scan_certificate(period, fam, m):
+    """The certificate dict of a scan that runs every length up to the
+    bound, with no repeat stop: naive bound fields and lockstep_states."""
+    n, P = fam.ctx.n, len(period)
+    G = math.prod(period) % n
+    powers = []  # G^1, G^2, ... up to the first repeat
+    x = G
+    while x not in powers:
+        powers.append(x)
+        x = x * G % n
+    alpha = powers.index(x)
+    pre, per = P * (alpha + 1), math.lcm(P * n, P * (len(powers) - alpha))
+    counter = None
+    for l, states in lockstep_states(period, fam, pre + per):
+        z = [fam.vanishes(st) for st in states]
+        hits = [s for s in range(P) if all(z[(s + j * l) % P] for j in range(m))]
+        if hits:
+            counter = [hits[0], l]
+            break
+    d = {
+        "version": CERTIFICATE_VERSION, "n": n, "family": fam.to_descriptor(), "m": m,
+        "period": list(period), "G": G,
+        "T": [sum(t[x] for x in period) % n for t in fam.sum_tables()],
+        "alpha": alpha, "beta": len(powers) - alpha, "pre": pre, "per": per,
+        "checked_max_l": pre + per, "verdict": AVOIDING if counter is None else REFUTED,
+    }
+    if counter is not None:
+        d["counter_window"] = counter
+    return d
+
+
 def test_verify_periodic_matches_naive_first_window():
     # every canonical period with P <= 3 over n <= 8, against folds of the
-    # unrolled word up to checked_max_l
+    # unrolled word up to checked_max_l, and the whole certificate against
+    # a full scan with no repeat stop
     for n in range(2, 9):
         ctx = ModulusContext(n)
         cases = [
             (sum_plus_c_prod(ctx, c), lambda b, c=c: naive_f_c(b, n, c) == 0)
             for c in sorted({0, 1, n - 1, 2 % n})
         ]
-        squares = [x * x % n for x in range(n)]
-        cases.append((
-            transformation_sums(ctx, [list(range(n)), squares]),
-            lambda b: naive_block_sum(b, n) == 0 and naive_block_sum(b, n, squares) == 0,
-        ))
+        for table in ([x * x % n for x in range(n)], [(x * x + 1) % n for x in range(n)]):
+            cases.append((
+                transformation_sums(ctx, [list(range(n)), table]),
+                lambda b, table=table: naive_block_sum(b, n) == 0 and naive_block_sum(b, n, table) == 0,
+            ))
         for P in (1, 2, 3):
             for period in itertools.product(range(n), repeat=P):
                 if period != min_rotation(period):
@@ -135,6 +172,65 @@ def test_verify_periodic_matches_naive_first_window():
                         want = first_vanishing_window(period, m, cert.checked_max_l, vanishes)
                         assert cert.counter_window == want, (n, fam.to_descriptor(), period, m)
                         assert cert.verdict == (AVOIDING if want is None else REFUTED)
+                        assert cert.to_dict() == full_scan_certificate(period, fam, m)
+    # the state of residue 0 recurs at length 6, but the block at residue 2
+    # does not, and the window (2, 7) vanishes: 1+7+1+3+1+7+1 + 147 = 0 mod 12
+    fam = sum_plus_c_prod(ModulusContext(12), 1)
+    cert = verify_periodic(PeriodicWord((1, 3, 1, 7), 12), fam, 1)
+    assert cert.to_dict() == full_scan_certificate((1, 3, 1, 7), fam, 1)
+    assert cert.counter_window == (2, 7)
+
+
+def scan_trace(monkeypatch, n, c, period, m):
+    """(certificate, lengths the scan generated, vanishes calls it made)."""
+    lengths, calls = [], []
+    full_states = lockstep_states
+    full_vanishes = FunctionalFamily.vanishes
+
+    def counted_states(*args):
+        for l, states in full_states(*args):
+            lengths.append(l)
+            yield l, states
+
+    def counted_vanishes(self, state):
+        calls.append(state)
+        return full_vanishes(self, state)
+
+    monkeypatch.setattr(blockzero.verify, "lockstep_states", counted_states)
+    monkeypatch.setattr(FunctionalFamily, "vanishes", counted_vanishes)
+    try:
+        cert = avoiding_cert(n, c, period, m)
+    finally:
+        monkeypatch.undo()
+    return cert, lengths, len(calls)
+
+
+def test_scan_stops_at_the_first_repeated_state_vector(monkeypatch):
+    # the xyr witness has period sum 0 and period product 1, so every block
+    # state recurs after one period: the states at length 5 equal those at 2
+    period = build_xyr_witness(xyr_solve(983)).period
+    cert, lengths, calls = scan_trace(monkeypatch, 983, 1, period, 1)
+    assert cert.verdict == AVOIDING and cert.checked_max_l == 2952
+    assert lengths == [2, 3, 4, 5]
+    # the windows of every generated length are checked, the last one too
+    assert calls == len(period) * len(lengths)
+    # states are compared only at lengths P apart: the doubled period
+    # stops at 2 + 6, although its states at 5 already equal those at 2
+    cert, lengths, calls = scan_trace(monkeypatch, 983, 1, period * 2, 1)
+    assert cert.verdict == AVOIDING and lengths == list(range(2, 9))
+
+    # two criterion-1 witnesses and an m = 2 witness settle below their bound
+    for n, c, period, m, last, bound in [
+        (24, 1, (2, 22), 1, 10, 52), (9, 1, (7, 4, 4), 1, 17, 30), (35, 1, (1, 9), 2, 210, 422),
+    ]:
+        cert, lengths, calls = scan_trace(monkeypatch, n, c, period, m)
+        assert cert.verdict == AVOIDING and cert.checked_max_l == bound
+        assert lengths == list(range(2, last + 1))
+        assert calls == len(period) * len(lengths)
+
+    # a refuted scan still stops at its first vanishing window
+    cert, lengths, _ = scan_trace(monkeypatch, 24, 1, (3, 21), 1)
+    assert cert.counter_window == (0, 3) and lengths == [2, 3]
 
 
 def test_mirror_image_shares_the_verdict():
@@ -210,8 +306,6 @@ def test_load_rejects_tampered_certificate(tmp_path):
     d = forged.to_dict()
     d.pop("counter_window", None)
     path = tmp_path / "forged.json"
-    import json
-
     path.write_text(json.dumps(d))
     with pytest.raises(PreconditionError):
         load_certificate(path, recheck=True)
@@ -220,3 +314,15 @@ def test_load_rejects_tampered_certificate(tmp_path):
 def test_certificate_version_checked():
     with pytest.raises(PreconditionError):
         Certificate.from_dict({"version": 99})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("checked_max_l", 27), ("G", 5), ("T", [1]), ("alpha", 9),
+])
+def test_load_rejects_a_wrong_bound_field(tmp_path, field, value):
+    cert = avoiding_cert(12, 1, (2, 10))
+    assert cert.verdict == AVOIDING and cert.to_dict()[field] != value
+    path = tmp_path / "bound.json"
+    path.write_text(json.dumps({**cert.to_dict(), field: value}))
+    with pytest.raises(PreconditionError):
+        load_certificate(path, recheck=True)
