@@ -15,12 +15,10 @@ from .classify import (
     reproduce_table,
 )
 from .families import (
-    Block,
     FunctionalFamily,
     Window,
     elementary_symmetric,
     elementary_symmetric_family,
-    eval_family,
     newton_implication_check,
     power_sums,
     sum_plus_c_prod,
@@ -59,7 +57,6 @@ from .words import PeriodicWord, Word, parse_symbols
 
 __all__ = [
     "AVOIDING",
-    "Block",
     "Certificate",
     "Classification",
     "FunctionalFamily",
@@ -77,7 +74,6 @@ __all__ = [
     "classify",
     "elementary_symmetric",
     "elementary_symmetric_family",
-    "eval_family",
     "expected_verdict",
     "is_cubic_residue",
     "load_certificate",

@@ -215,11 +215,15 @@ def _load_cached(path: str, n: int, fam: FunctionalFamily, m: int) -> Classifica
     proof fits its verdict: a witness with a re-checked avoiding
     certificate for that cell, or an exhausted search whose threshold is
     one past its longest word.  An UNKNOWN records only that one budget
-    ran out, so it is never served: a later call may have more."""
+    ran out, so it is never served: a later call may have more.  An
+    unreadable or malformed file is a miss too."""
     if not os.path.exists(path):
         return None
-    with open(path) as fh:
-        cls = Classification.from_dict(json.load(fh))
+    try:
+        with open(path) as fh:
+            cls = Classification.from_dict(json.load(fh))
+    except (ValueError, KeyError, TypeError, AttributeError):
+        return None  # truncated or hand-edited: recompute and replace it
     if (cls.n, cls.c, cls.m) != (n, fam.c, m):
         return None  # a file of another cell
     if cls.verdict == NONVANISHING_PROVED:
@@ -246,14 +250,17 @@ def _save_cached(path: str, cls: Classification) -> None:
     existing = None
     if os.path.exists(path):
         with open(path) as fh:
-            existing = json.load(fh)
-    if existing is not None:
+            try:
+                existing = json.load(fh)
+            except ValueError:
+                pass  # unreadable: replaced below
+    if isinstance(existing, dict):
         # a proved verdict of the same cell must not flip; a file of
-        # another cell at this path is simply replaced
+        # another cell, or a malformed one, at this path is simply replaced
         proved = {VANISHING_PROVED, NONVANISHING_PROVED}
         if (
             (existing.get("n"), existing.get("c"), existing.get("m")) == (cls.n, cls.c, cls.m)
-            and existing["verdict"] in proved
+            and existing.get("verdict") in proved
             and cls.verdict in proved
             and existing["verdict"] != cls.verdict
         ):

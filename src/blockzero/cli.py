@@ -28,13 +28,11 @@ from .families import (
     power_sums,
     sum_plus_c_prod,
     transformation_sums,
-    eval_family,
-    Block,
 )
 from .ring import ModulusContext, PreconditionError
 from .search import EXHAUSTED, longest_avoiding_word, mine_witness, xyr_solve
 from .verify import AVOIDING, save_certificate, verify_periodic
-from .words import PeriodicWord, Word, parse_symbols
+from .words import PeriodicWord, parse_symbols
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -89,9 +87,7 @@ def append_run_record(cache_dir: str, command: str, args: list[str], started: fl
 def cmd_eval(args) -> int:
     ctx = ModulusContext(args.n)
     fam = parse_family(args.family, ctx)
-    symbols = parse_symbols(args.block, ctx)
-    word = Word(ctx, symbols, tables=fam.sum_tables() or None)
-    value = eval_family(fam, Block(word, 0, len(symbols)))
+    value = fam.value(parse_symbols(args.block, ctx))
     print(",".join(map(str, value)))
     return EXIT_OK
 

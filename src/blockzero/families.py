@@ -1,18 +1,24 @@
-"""Block-functional families over Z_n and their evaluation.
+"""Block-functional families over Z_n.
 
 Supported shapes: sum plus c times product, transformation sums (possibly
 vector-valued), combined power sums, and elementary symmetric polynomials.
 Transformations are stored as explicit n-entry tables so families stay
-serializable and user-definable from files.
+serializable and user-definable from files; power sums are the table sums
+of the power tables x -> x^i.
+
+The block-state hook (block_state/extend/vanishes) is the one place that
+knows what a block's value is.  The DFS, the set search, the lockstep
+periodic scan, the miner, finite-word scans and FunctionalFamily.value all
+fold it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from math import gcd
 
 from .ring import ModulusContext, PreconditionError
-from .words import Word, identity_table
 
 SUM_PLUS_C_PROD = "sum_plus_c_prod"
 TRANSFORMATION_SUMS = "transformation_sums"
@@ -34,25 +40,21 @@ class FunctionalFamily:
         n = self.ctx.n
         q = n // gcd(n, self.c) if self.kind == SUM_PLUS_C_PROD else n
         object.__setattr__(self, "_product_modulus", q)
+        if self.kind == POWER_SUMS:
+            powers = tuple(tuple(pow(x, i, n) for x in range(n)) for i in range(1, self.r + 1))
+            object.__setattr__(self, "tables", powers)
 
     @property
     def output_dim(self) -> int:
-        if self.kind == TRANSFORMATION_SUMS:
-            return len(self.tables)
-        if self.kind == POWER_SUMS:
-            return self.r
-        return 1
+        return len(self.tables) if self.tables else 1
 
     def sum_tables(self) -> tuple[tuple[int, ...], ...]:
         """Tables whose running sums fully determine this family's block
         values, or () when no such decomposition exists."""
-        n = self.ctx.n
-        if self.kind == TRANSFORMATION_SUMS:
+        if self.tables:
             return self.tables
-        if self.kind == POWER_SUMS:
-            return tuple(tuple(pow(x, i, n) for x in range(n)) for i in range(1, self.r + 1))
         if self.kind == SUM_PLUS_C_PROD:
-            return (identity_table(self.ctx),)
+            return (tuple(range(self.ctx.n)),)
         return ()
 
     # A block's value is a function of a small state built one symbol at a
@@ -64,14 +66,11 @@ class FunctionalFamily:
 
     def block_state(self, a: int) -> tuple[int, ...]:
         """The state of the one-symbol block (a)."""
-        n = self.ctx.n
-        a %= n
+        a %= self.ctx.n
         if self.kind == SUM_PLUS_C_PROD:
             return (a, a % self._product_modulus)
-        if self.kind == TRANSFORMATION_SUMS:
+        if self.tables:
             return tuple(t[a] for t in self.tables)
-        if self.kind == POWER_SUMS:
-            return tuple(pow(a, i, n) for i in range(1, self.r + 1))
         if self.kind == ELEMENTARY_SYMMETRIC:
             return (a,) + (0,) * (self.r - 1)
         raise PreconditionError(f"unknown family kind {self.kind!r}")
@@ -83,10 +82,8 @@ class FunctionalFamily:
         if self.kind == SUM_PLUS_C_PROD:
             s, p = state
             return ((s + a) % n, p * a % self._product_modulus)
-        if self.kind == TRANSFORMATION_SUMS:
+        if self.tables:
             return tuple((x + t[a]) % n for x, t in zip(state, self.tables))
-        if self.kind == POWER_SUMS:
-            return tuple((x + pow(a, i, n)) % n for i, x in enumerate(state, 1))
         if self.kind == ELEMENTARY_SYMMETRIC:
             # e_k += a * e_{k-1}, with e_0 = 1, all from the old values
             return tuple((e + a * prev) % n for e, prev in zip(state, (1,) + state))
@@ -100,6 +97,21 @@ class FunctionalFamily:
         if self.kind == ELEMENTARY_SYMMETRIC:
             return state[-1] == 0
         return not any(state)
+
+    def value(self, symbols) -> tuple[int, ...]:
+        """The exact value vector of the family's function on a block of
+        l >= 2 symbols."""
+        if len(symbols) < 2:
+            raise PreconditionError(f"block length must be >= 2, got {len(symbols)}")
+        state = self.block_state(symbols[0])
+        for a in symbols[1:]:
+            state = self.extend(state, a)
+        if self.kind == SUM_PLUS_C_PROD:
+            s, p = state
+            return ((s + self.c * p) % self.ctx.n,)
+        if self.kind == ELEMENTARY_SYMMETRIC:
+            return (state[-1],)
+        return state
 
     def to_descriptor(self) -> dict:
         if self.kind == SUM_PLUS_C_PROD:
@@ -149,26 +161,6 @@ def family_from_descriptor(ctx: ModulusContext, desc: dict) -> FunctionalFamily:
 
 
 @dataclass(frozen=True)
-class Block:
-    """l >= 2 consecutive symbols of a word, by reference."""
-
-    word: Word
-    start: int
-    length: int
-
-    def __post_init__(self):
-        if self.length < 2:
-            raise PreconditionError(f"block length must be >= 2, got {self.length}")
-        if self.start < 0 or self.start + self.length > len(self.word):
-            raise PreconditionError(
-                f"block (start={self.start}, length={self.length}) out of range"
-            )
-
-    def values(self) -> tuple[int, ...]:
-        return tuple(self.word.symbols[self.start : self.start + self.length])
-
-
-@dataclass(frozen=True)
 class Window:
     """m consecutive blocks of equal length l starting at s."""
 
@@ -176,59 +168,22 @@ class Window:
     length: int
     count: int
 
-    def block_starts(self):
-        return [self.start + j * self.length for j in range(self.count)]
-
 
 def elementary_symmetric(values, r: int, ctx: ModulusContext) -> int:
-    """e_r of the values mod n by the O(l*r) incremental DP; 0 when r > l."""
-    if r < 1:
-        raise PreconditionError(f"degree must be >= 1, got {r}")
-    n = ctx.n
-    e = [1] + [0] * r
+    """e_r of the values mod n, for any number of values; 0 when r > l."""
+    fam = elementary_symmetric_family(ctx, r)
+    state = (0,) * r  # the empty block: e_0 = 1 and e_1..e_r = 0
     for x in values:
-        x %= n
-        for k in range(min(r, len(e) - 1), 0, -1):
-            e[k] = (e[k] + x * e[k - 1]) % n
-    return e[r] % n
-
-
-def eval_family(fam: FunctionalFamily, block: Block) -> tuple[int, ...]:
-    """Exact value vector of the family's l-variable function on a block."""
-    word = block.word
-    n = fam.ctx.n
-    if word.ctx.n != n:
-        raise PreconditionError("family and word moduli differ")
-    s, l = block.start, block.length
-    if fam.kind == SUM_PLUS_C_PROD:
-        total = word.block_sum(s, l) if word.tables and word.tables[0] == identity_table(word.ctx) else word.fold_sum(s, l, identity_table(word.ctx))
-        return ((total + fam.c * word.block_product(s, l)) % n,)
-    if fam.kind in (TRANSFORMATION_SUMS, POWER_SUMS):
-        tabs = fam.sum_tables()
-        out = []
-        for i, t in enumerate(tabs):
-            if i < len(word.tables) and word.tables[i] == t:
-                out.append(word.block_sum(s, l, i))
-            else:
-                out.append(word.fold_sum(s, l, t))
-        return tuple(out)
-    if fam.kind == ELEMENTARY_SYMMETRIC:
-        return (elementary_symmetric(block.values(), fam.r, fam.ctx),)
-    raise PreconditionError(f"unknown family kind {fam.kind!r}")
+        state = fam.extend(state, x)
+    return state[-1]
 
 
 def vanishing_pairs(fam: FunctionalFamily) -> set[tuple[int, int]]:
     """All pairs (a, b) with f^(2)(a, b) == 0, for scalar families."""
     if fam.output_dim != 1:
         raise PreconditionError("vanishing_pairs requires a scalar-valued family")
-    ctx = fam.ctx
-    out = set()
-    for a in range(ctx.n):
-        for b in range(ctx.n):
-            w = Word(ctx, (a, b))
-            if eval_family(fam, Block(w, 0, 2)) == (0,):
-                out.add((a, b))
-    return out
+    n = fam.ctx.n
+    return {(a, b) for a in range(n) for b in range(n) if fam.value((a, b)) == (0,)}
 
 
 @dataclass(frozen=True)
@@ -251,23 +206,13 @@ def newton_implication_check(
     """
     if r < 1 or max_len < r:
         raise PreconditionError(f"need r >= 1 and max_len >= r, got r={r}, max_len={max_len}")
-    n = ctx.n
+    sums, e_r = power_sums(ctx, r), elementary_symmetric_family(ctx, r)
     checked = 0
     for length in range(2, max_len + 1):
-        block = [0] * length
-        while True:
+        for block in product(range(ctx.n), repeat=length):
             checked += 1
             if checked > budget:
                 return NewtonReport("partial", None, checked - 1, max_len)
-            if all(sum(pow(x, k, n) for x in block) % n == 0 for k in range(1, r + 1)):
-                if elementary_symmetric(block, r, ctx) != 0:
-                    return NewtonReport("counterexample", tuple(block), checked, max_len)
-            # next block in lexicographic order
-            i = length - 1
-            while i >= 0 and block[i] == n - 1:
-                block[i] = 0
-                i -= 1
-            if i < 0:
-                break
-            block[i] += 1
+            if not any(sums.value(block)) and e_r.value(block) != (0,):
+                return NewtonReport("counterexample", block, checked, max_len)
     return NewtonReport("holds", None, checked, max_len)

@@ -1,8 +1,8 @@
 """Exact arithmetic in Z_n.
 
-Residues are plain ints in [0, n).  A ModulusContext carries the modulus
-and its prime factorization; the module also holds the number theory the
-witness constructions need (power cycles, square and cube roots mod p).
+Residues are plain ints in [0, n).  A ModulusContext carries the modulus;
+the module also holds the number theory the witness constructions need
+(power cycles, square and cube roots mod p).
 """
 
 from __future__ import annotations
@@ -57,11 +57,12 @@ class PowerCycle:
 
 
 class ModulusContext:
-    """The ring Z_n and its prime factorization."""
+    """The ring Z_n, n >= 2."""
 
     def __init__(self, n: int):
+        if n < 2:
+            raise PreconditionError(f"modulus must be >= 2, got {n}")
         self.n = n
-        self.factorization = factorize(n)
 
     def __repr__(self):
         return f"ModulusContext(n={self.n})"
@@ -71,9 +72,6 @@ class ModulusContext:
 
     def __hash__(self):
         return hash(("ModulusContext", self.n))
-
-    def residue(self, x: int) -> int:
-        return x % self.n
 
 
 def pow_cycle(g: int, ctx: ModulusContext) -> PowerCycle:

@@ -22,6 +22,10 @@ length from l2 on repeats the verdicts of [l1, l2), which the pass has
 already checked.  The certificate's bound fields are computed as before:
 checked_max_l stays the certificate's length bound and the pass's upper
 limit, so the certificate does not depend on where the pass stopped.
+
+Finite words are scanned on the same hook (scan_word), as are refuting
+windows (recheck_counter_window): the family's hook is the one block-value
+path.
 """
 
 from __future__ import annotations
@@ -35,8 +39,6 @@ from .families import (
     TRANSFORMATION_SUMS,
     FunctionalFamily,
     Window,
-    eval_family,
-    Block,
     family_from_descriptor,
 )
 from .ring import ModulusContext, PreconditionError, pow_cycle
@@ -116,17 +118,22 @@ def scan_word(word: Word, fam: FunctionalFamily, m: int) -> list[Window]:
     """All vanishing m-windows of a finite word, ordered by (l, s)."""
     if m < 1:
         raise PreconditionError(f"m must be >= 1, got {m}")
-    L = len(word)
-    zero = (0,) * fam.output_dim
-    found = []
-    for l in range(2, L // m + 1):
-        for s in range(0, L - m * l + 1):
-            if all(
-                eval_family(fam, Block(word, s + j * l, l)) == zero
-                for j in range(m)
-            ):
-                found.append(Window(s, l, m))
-    return found
+    symbols = word.symbols
+    L = len(symbols)
+    # zero[s] has bit l set iff the length-l block at s vanishes
+    zero = [0] * L
+    for s in range(L - 1):
+        state = fam.block_state(symbols[s])
+        for l in range(2, L - s + 1):
+            state = fam.extend(state, symbols[s + l - 1])
+            if fam.vanishes(state):
+                zero[s] |= 1 << l
+    return [
+        Window(s, l, m)
+        for l in range(2, L // m + 1)
+        for s in range(L - m * l + 1)
+        if all(zero[s + j * l] >> l & 1 for j in range(m))
+    ]
 
 
 def lockstep_states(period: tuple[int, ...], fam: FunctionalFamily, max_l: int):
@@ -226,13 +233,9 @@ def recheck_counter_window(cert: Certificate) -> bool:
     if cert.verdict != REFUTED or cert.counter_window is None:
         return False
     s, l = cert.counter_window
-    ctx = ModulusContext(cert.n)
-    fam = family_from_descriptor(ctx, cert.family)
-    word = PeriodicWord(cert.period, cert.n).unroll(s + cert.m * l, ctx)
-    zero = (0,) * fam.output_dim
-    return all(
-        eval_family(fam, Block(word, s + j * l, l)) == zero for j in range(cert.m)
-    )
+    fam = family_from_descriptor(ModulusContext(cert.n), cert.family)
+    word = PeriodicWord(cert.period, cert.n).unroll(s + cert.m * l).symbols
+    return all(not any(fam.value(word[s + j * l : s + (j + 1) * l])) for j in range(cert.m))
 
 
 def save_certificate(cert: Certificate, path) -> None:

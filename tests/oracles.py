@@ -101,6 +101,34 @@ def first_vanishing_window(period, m, max_l, vanishes):
     return None
 
 
+def vanishing_windows(word, m, vanishes):
+    """All windows (s, l) of a finite word in (l, s) order, with l >= 2,
+    whose m blocks all vanish.  vanishes(block) folds one block of
+    symbols."""
+    L = len(word)
+    return [
+        (s, l)
+        for l in range(2, L // m + 1)
+        for s in range(L - m * l + 1)
+        if all(vanishes(word[s + j * l : s + (j + 1) * l]) for j in range(m))
+    ]
+
+
+def naive_value(desc, symbols, n):
+    """The value vector, by plain folds, of the family with this
+    descriptor (the dict of FunctionalFamily.to_descriptor) on a block."""
+    kind = desc["kind"]
+    if kind == "sum_plus_c_prod":
+        return (naive_f_c(symbols, n, desc["c"]),)
+    if kind == "elementary_symmetric":
+        return (naive_elementary_symmetric(symbols, desc["r"], n),)
+    if kind == "power_sums":
+        tables = [[x**k % n for x in range(n)] for k in range(1, desc["r"] + 1)]
+    else:
+        tables = desc["tables"]
+    return tuple(naive_block_sum(symbols, n, t) for t in tables)
+
+
 class Lcg:
     """Tiny deterministic generator: fixed enumeration order, no randomness
     beyond the seed."""

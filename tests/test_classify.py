@@ -200,6 +200,18 @@ def _cell_path(cache_dir, n, c, m):
     return _cache_path(str(cache_dir), n, sum_plus_c_prod(ModulusContext(n), c), m)
 
 
+def test_unreadable_or_malformed_cache_file_is_a_miss(tmp_path):
+    fresh = {**classify(5, 1, 1).to_dict(), "elapsed_ms": 0}
+    path = _cell_path(tmp_path, 5, 1, 1)
+    for text in ('{"n": 5', '{"n": 5, "c": 1, "m": 1}'):
+        with open(path, "w") as fh:
+            fh.write(text)
+        got = classify(5, 1, 1, cache_dir=str(tmp_path))
+        assert {**got.to_dict(), "elapsed_ms": 0} == fresh
+        with open(path) as fh:
+            assert {**json.load(fh), "elapsed_ms": 0} == fresh  # the file was replaced
+
+
 def test_cache_file_of_another_cell_is_not_served(tmp_path):
     # a proved file copied to the path of another cell proves nothing there
     for src, dst in [((5, 0, 1), (5, 1, 1)), ((12, 1, 1), (12, 11, 2))]:

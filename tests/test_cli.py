@@ -135,6 +135,9 @@ def test_usage_errors(capsys, cache):
     code, _, err = run(capsys, "eval", "--n", "1", "--family", "sum_plus_c_prod:0",
                        "--block", "0,0")
     assert code == EXIT_USAGE
+    code, _, err = run(capsys, "eval", "--n", "5", "--family", "sum_plus_c_prod:1",
+                       "--block", "3")
+    assert code == EXIT_USAGE
 
 
 def test_transformation_sums_inline_and_file(capsys, cache, tmp_path):

@@ -5,10 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockzero.families import (
-    Block,
     elementary_symmetric,
     elementary_symmetric_family,
-    eval_family,
     family_from_descriptor,
     newton_implication_check,
     power_sums,
@@ -16,34 +14,29 @@ from blockzero.families import (
     transformation_sums,
     vanishing_pairs,
 )
+from blockzero.classify import family_hash
 from blockzero.ring import ModulusContext, PreconditionError
-from blockzero.words import Word, identity_table
 
-from oracles import Lcg, naive_elementary_symmetric, naive_f_c
-
-
-def make_block(ctx, symbols, tables=None):
-    w = Word(ctx, symbols, tables=tables)
-    return Block(w, 0, len(symbols))
+from oracles import Lcg, naive_elementary_symmetric, naive_f_c, naive_value
 
 
 def test_eval_sum_plus_c_prod_examples():
     ctx3 = ModulusContext(3)
-    assert eval_family(sum_plus_c_prod(ctx3, 1), make_block(ctx3, (1, 1))) == (0,)
+    assert sum_plus_c_prod(ctx3, 1).value((1, 1)) == (0,)
     ctx6 = ModulusContext(6)
-    assert eval_family(sum_plus_c_prod(ctx6, 1), make_block(ctx6, (1, 5))) == (5,)
+    assert sum_plus_c_prod(ctx6, 1).value((1, 5)) == (5,)
     ctx5 = ModulusContext(5)
-    assert eval_family(sum_plus_c_prod(ctx5, 2), make_block(ctx5, (4, 1))) == (3,)
+    assert sum_plus_c_prod(ctx5, 2).value((4, 1)) == (3,)
     for n in (2, 5, 9):
         ctx = ModulusContext(n)
         for c in range(n):
-            assert eval_family(sum_plus_c_prod(ctx, c), make_block(ctx, (0, 0))) == (0,)
+            assert sum_plus_c_prod(ctx, c).value((0, 0)) == (0,)
 
 
 def test_eval_power_sums_example():
     ctx = ModulusContext(3)
     fam = power_sums(ctx, 2)
-    assert eval_family(fam, make_block(ctx, (1, 2))) == (0, 2)
+    assert fam.value((1, 2)) == (0, 2)
 
 
 def test_power_sums_first_component_is_plain_sum():
@@ -54,7 +47,7 @@ def test_power_sums_first_component_is_plain_sum():
         fam = power_sums(ctx, 1 + gen.below(4))
         l = 2 + gen.below(6)
         symbols = tuple(gen.below(n) for _ in range(l))
-        value = eval_family(fam, make_block(ctx, symbols))
+        value = fam.value(symbols)
         assert value[0] == sum(symbols) % n
 
 
@@ -64,21 +57,45 @@ def test_sum_plus_zero_prod_matches_identity_transformation_sum():
         n = 2 + gen.below(20)
         ctx = ModulusContext(n)
         f0 = sum_plus_c_prod(ctx, 0)
-        ft = transformation_sums(ctx, [identity_table(ctx)])
+        ft = transformation_sums(ctx, [range(n)])
         l = 2 + gen.below(6)
         symbols = tuple(gen.below(n) for _ in range(l))
-        assert eval_family(f0, make_block(ctx, symbols)) == eval_family(
-            ft, make_block(ctx, symbols)
-        )
+        assert f0.value(symbols) == ft.value(symbols)
+
+
+def test_value_matches_naive_folds():
+    gen = Lcg(61)
+    for _ in range(400):
+        n = 2 + gen.below(20)
+        ctx = ModulusContext(n)
+        r = 1 + gen.below(4)
+        tables = [[gen.below(n) for _ in range(n)] for _ in range(1 + gen.below(3))]
+        symbols = tuple(gen.below(n) for _ in range(2 + gen.below(6)))
+        for fam in (
+            sum_plus_c_prod(ctx, gen.below(n)),
+            transformation_sums(ctx, tables),
+            power_sums(ctx, r),
+            elementary_symmetric_family(ctx, r),
+        ):
+            assert fam.value(symbols) == naive_value(fam.to_descriptor(), symbols, n)
+
+
+def test_power_sums_are_table_sums_of_the_power_tables():
+    for n in (2, 6, 9):
+        ctx = ModulusContext(n)
+        fam = power_sums(ctx, 3)
+        assert fam.tables == tuple(tuple(x**k % n for x in range(n)) for k in (1, 2, 3))
+        assert fam.sum_tables() == fam.tables and fam.output_dim == 3
+        # the descriptor, and so the cache file names, keep their old form
+        assert fam.to_descriptor() == {"kind": "power_sums", "r": 3}
+        assert family_hash(power_sums(ctx, 2)) == "61789ae1a42b"
 
 
 def test_block_length_below_two_rejected():
     ctx = ModulusContext(5)
-    w = Word(ctx, (1, 2, 3))
-    with pytest.raises(PreconditionError):
-        Block(w, 0, 1)
-    with pytest.raises(PreconditionError):
-        Block(w, 2, 2)  # runs past the end
+    for fam in (sum_plus_c_prod(ctx, 1), power_sums(ctx, 2), elementary_symmetric_family(ctx, 1)):
+        with pytest.raises(PreconditionError):
+            fam.value((3,))
 
 
 def test_elementary_symmetric_examples():
@@ -119,7 +136,7 @@ def test_e1_is_sum_and_el_is_product_fuzzed():
 def test_elementary_symmetric_family_eval():
     ctx = ModulusContext(7)
     fam = elementary_symmetric_family(ctx, 2)
-    assert eval_family(fam, make_block(ctx, (1, 2, 3))) == (4,)
+    assert fam.value((1, 2, 3)) == (4,)
 
 
 def test_vanishing_pairs_examples():
@@ -192,7 +209,7 @@ def test_eval_agrees_with_naive_f_c():
         l = 2 + gen.below(7)
         symbols = tuple(gen.below(n) for _ in range(l))
         fam = sum_plus_c_prod(ctx, c)
-        assert eval_family(fam, make_block(ctx, symbols)) == (naive_f_c(symbols, n, c),)
+        assert fam.value(symbols) == (naive_f_c(symbols, n, c),)
 
 
 def test_f_c_state_keeps_the_product_mod_n_over_gcd():

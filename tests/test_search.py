@@ -23,8 +23,8 @@ from blockzero.search import (
     suffix_set_search,
     xyr_solve,
 )
-from blockzero.verify import AVOIDING, REFUTED, recheck_certificate, scan_word
-from blockzero.words import PeriodicWord, Word, min_rotation
+from blockzero.verify import AVOIDING, REFUTED, recheck_certificate
+from blockzero.words import PeriodicWord, min_rotation
 
 from oracles import (
     Lcg,
@@ -33,7 +33,14 @@ from oracles import (
     first_vanishing_window,
     naive_elementary_symmetric,
     naive_f_c,
+    naive_value,
+    vanishing_windows,
 )
+
+
+def assert_avoids(ctx, fam, m, word):
+    desc = fam.to_descriptor()
+    assert vanishing_windows(word, m, lambda b: not any(naive_value(desc, b, ctx.n))) == []
 
 
 def search(n, c, m, cap=32, **kw):
@@ -68,7 +75,7 @@ def test_exhausted_soundness_tiny():
         )
     # the recorded longest word avoids
     ctx = ModulusContext(2)
-    assert scan_word(Word(ctx, out.longest_word), sum_plus_c_prod(ctx, 1), 1) == []
+    assert_avoids(ctx, sum_plus_c_prod(ctx, 1), 1, out.longest_word)
     assert len(out.longest_word) == t - 1
 
 
@@ -78,7 +85,7 @@ def test_cap_reached_on_nonvanishing_family():
     assert not out.budget_exhausted
     assert len(out.longest_word) == 48
     ctx = ModulusContext(5)
-    assert scan_word(Word(ctx, out.longest_word), sum_plus_c_prod(ctx, 2), 1) == []
+    assert_avoids(ctx, sum_plus_c_prod(ctx, 2), 1, out.longest_word)
 
 
 def test_budget_exhaustion_is_flagged():
@@ -87,7 +94,7 @@ def test_budget_exhaustion_is_flagged():
     assert out.budget_exhausted
     assert len(out.longest_word) == out.cap
     ctx = ModulusContext(3)
-    assert scan_word(Word(ctx, out.longest_word), sum_plus_c_prod(ctx, 1), 2) == []
+    assert_avoids(ctx, sum_plus_c_prod(ctx, 1), 2, out.longest_word)
 
 
 def test_cap_below_two_rejected():
@@ -267,10 +274,6 @@ PINNED_OUTCOMES = [
 def test_pinned_outcomes(args, expected):
     n, c, max_nodes = args
     assert search(n, c, 1, cap=24, max_nodes=max_nodes) == expected
-
-
-def assert_avoids(ctx, fam, m, word):
-    assert scan_word(Word(ctx, word), fam, m) == []
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

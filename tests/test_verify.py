@@ -5,7 +5,13 @@ import math
 import pytest
 
 import blockzero.verify
-from blockzero.families import FunctionalFamily, power_sums, sum_plus_c_prod, transformation_sums
+from blockzero.families import (
+    FunctionalFamily,
+    elementary_symmetric_family,
+    power_sums,
+    sum_plus_c_prod,
+    transformation_sums,
+)
 from blockzero.ring import ModulusContext, PreconditionError
 from blockzero.search import build_xyr_witness, xyr_solve
 from blockzero.verify import (
@@ -24,7 +30,14 @@ from blockzero.verify import (
     verify_periodic,
 )
 from blockzero.words import PeriodicWord, Word, min_rotation
-from oracles import first_vanishing_window, naive_block_sum, naive_f_c
+from oracles import (
+    Lcg,
+    first_vanishing_window,
+    naive_block_sum,
+    naive_f_c,
+    naive_value,
+    vanishing_windows,
+)
 
 
 def test_scan_word_examples():
@@ -40,6 +53,28 @@ def test_scan_word_examples():
     ctx5 = ModulusContext(5)
     hits = scan_word(Word(ctx5, (4, 1, 4, 1, 4, 1)), sum_plus_c_prod(ctx5, 2), 1)
     assert hits == []
+
+
+def test_scan_word_matches_naive_windows():
+    gen = Lcg(73)
+    for _ in range(200):
+        n = 2 + gen.below(7)
+        ctx = ModulusContext(n)
+        r = 1 + gen.below(3)
+        tables = [[gen.below(n) for _ in range(n)] for _ in range(1 + gen.below(2))]
+        word = tuple(gen.below(n) for _ in range(gen.below(16)))
+        m = 1 + gen.below(3)
+        for fam in (
+            sum_plus_c_prod(ctx, gen.below(n)),
+            transformation_sums(ctx, tables),
+            power_sums(ctx, r),
+            elementary_symmetric_family(ctx, r),
+        ):
+            desc = fam.to_descriptor()
+            want = vanishing_windows(word, m, lambda b: not any(naive_value(desc, b, n)))
+            got = scan_word(Word(ctx, word), fam, m)
+            assert [(w.start, w.length) for w in got] == want
+            assert all(w.count == m for w in got)
 
 
 def test_scan_word_ordered_by_length_then_start():

@@ -1,6 +1,4 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from blockzero.ring import ModulusContext, PreconditionError
 from blockzero.words import PeriodicWord, Word, min_rotation, parse_symbols
@@ -52,37 +50,6 @@ def test_prefix_structures_match_naive_folds():
         blk = symbols[s : s + l]
         assert w.block_sum(s, l) == naive_block_sum(blk, n)
         assert w.block_product(s, l) == naive_block_product(blk, n)
-
-
-def test_push_pop_restores_state_exactly():
-    ctx = ModulusContext(12)
-    w = Word(ctx, (2, 10, 0, 7))
-    snapshot = (
-        list(w.symbols),
-        [list(ps) for ps in w.prefix_sums],
-    )
-    for sym in (0, 3, 8, 11):
-        w.push(sym)
-    for _ in range(4):
-        w.pop()
-    assert snapshot == (
-        list(w.symbols),
-        [list(ps) for ps in w.prefix_sums],
-    )
-    assert w.rebuild_consistent()
-
-
-@given(
-    st.integers(min_value=2, max_value=12),
-    st.lists(st.integers(min_value=0, max_value=11), min_size=1, max_size=10),
-)
-@settings(max_examples=200, deadline=None)
-def test_incremental_state_matches_rebuild(n, symbols):
-    ctx = ModulusContext(n)
-    w = Word(ctx)
-    for s in symbols:
-        w.push(s % n)
-    assert w.rebuild_consistent()
 
 
 def test_unroll_examples():
