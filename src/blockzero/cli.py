@@ -150,6 +150,7 @@ def cmd_mine(args) -> int:
         print("witness: " + ",".join(map(str, cert.period)))
     print(f"witnesses_found: {len(res.witnesses)}")
     print(f"candidates_checked: {res.candidates_checked}")
+    print(f"verified: {res.verified}")
     print(f"enumeration_complete: {res.complete}")
     append_run_record(cache_dir, "mine", sys.argv[2:], started,
                       f"{len(res.witnesses)} witnesses", artifacts)
@@ -298,9 +299,20 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def attach_word_literals(argv: list[str]) -> list[str]:
+    """Join "--block -3,1" into "--block=-3,1", which argparse reads as two options."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--block", "--period") and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(attach_word_literals(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ContradictionError as e:

@@ -98,6 +98,16 @@ class FunctionalFamily:
             return state[-1] == 0
         return not any(state)
 
+    def scaling_units(self) -> tuple[int, ...]:
+        """The units u != 1 of Z_n with value(u*B) = u*value(B) for every
+        block B: for F_c those with u = 1 mod q = n / gcd(n, c), since then
+        u^l = u mod q and c*u^l = c*u mod n (every unit for c = 0, none for
+        c = 1 or -1); none for other kinds."""
+        if self.kind != SUM_PLUS_C_PROD:
+            return ()
+        n, q = self.ctx.n, self._product_modulus
+        return tuple(u for u in range(1 + q, n, q) if gcd(u, n) == 1)
+
     def value(self, symbols) -> tuple[int, ...]:
         """The exact value vector of the family's function on a block of
         l >= 2 symbols."""

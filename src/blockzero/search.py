@@ -334,6 +334,7 @@ class MineResult:
     witnesses: tuple
     complete: bool  # False when the deadline or the limit stopped the enumeration
     candidates_checked: int
+    verified: int  # the candidates that went to verify_periodic
 
 
 def _necklaces(symbols: tuple[int, ...], P: int):
@@ -377,14 +378,15 @@ def mine_witness(
 
     Necklaces are generated directly, in lexicographic order, and go to
     verify_periodic, which stops at the first vanishing window, so most
-    candidates are refuted after a few block lengths.  A necklace and its
-    mirror image (the reversed period) share their verdict: every family's
-    block value is a symmetric function of the block's symbols, so a block
-    and its reversal vanish together, and reversing the periodic word maps
-    each m-window of blocks of length l to one of the mirror's.  So a
-    necklace whose mirror is smaller, and hence already enumerated, is
-    skipped when the mirror was refuted, and verified for its own
-    certificate when the mirror avoids; it still counts as checked.
+    candidates are refuted after a few block lengths.  A necklace shares
+    its verdict with its images: the period reversed, scaled by a unit u
+    of fam.scaling_units() (u*B vanishes iff B does), or both, since block
+    values are symmetric functions and reversing or scaling the periodic
+    word maps each m-window of blocks of length l to one of the image's.
+    A verified necklace records its images still to come with its verdict;
+    as images form orbits, a later necklace with a smaller image in the
+    alphabet finds it there, and is skipped if that image was refuted, or
+    verified for its own certificate if it avoids (it counts as checked).
 
     alphabet is the set of symbols tried (e.g. nonzero residues, or the
     residues below a divisor of n); it is reduced mod n, and order and
@@ -398,25 +400,34 @@ def mine_witness(
     symbols = tuple(sorted({a % n for a in alphabet})) if alphabet is not None else tuple(range(n))
     if not symbols:
         raise PreconditionError("alphabet must be nonempty")
+    units = fam.scaling_units()
     witnesses = []
-    checked = 0
+    checked = verified = 0
     for P in range(1, p_max + 1):
-        avoiding = set()
+        known: dict[tuple[int, ...], bool] = {}  # later necklace -> whether it avoids
         for t in _necklaces(symbols, P):
             if deadline is not None and time.monotonic() > deadline:
-                return MineResult(tuple(witnesses), False, checked)
+                return MineResult(tuple(witnesses), False, checked, verified)
             checked += 1
-            mirror = min_rotation(t[::-1])
-            if mirror < t and mirror not in avoiding:
-                continue  # the mirror was refuted, so t is too
+            avoids = known.pop(t, None)
+            if avoids is False:
+                continue  # a smaller image was refuted, so t is too
             pw = PeriodicWord(t, n)
             cert = verify_periodic(pw, fam, m)
+            verified += 1
+            if avoids is None:
+                images = [t[::-1]]
+                for u in units:
+                    scaled = tuple([u * a % n for a in t])
+                    images += (scaled, scaled[::-1])
+                for image in map(min_rotation, images):
+                    if image > t:
+                        known[image] = cert.verdict == AVOIDING
             if cert.verdict == AVOIDING:
-                avoiding.add(t)
                 witnesses.append((pw, cert))
                 if limit is not None and len(witnesses) >= limit:
-                    return MineResult(tuple(witnesses), False, checked)
-    return MineResult(tuple(witnesses), True, checked)
+                    return MineResult(tuple(witnesses), False, checked, verified)
+    return MineResult(tuple(witnesses), True, checked, verified)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,10 @@ verify_periodic makes that check in one lockstep pass on the family's
 block states (FunctionalFamily.block_state/extend/vanishes): it keeps the
 state of the length-l block at each of the P start residues, grows all of
 them by one symbol per length, and reads each m-window off the residues
-its blocks start at.  The length bound holds for F_c and transformation
-sums; other family kinds raise UnsupportedFamilyError.
+its blocks start at: the AND of the P-bit mask Z of vanishing residues
+rotated by j*l mod P, j < m, has bit s set iff window (s, l) vanishes.
+The length bound holds for F_c and transformation sums; other family
+kinds raise UnsupportedFamilyError.
 
 The pass stops at the first vanishing window or at the first repeated
 state vector, whichever comes first.  Going from length l to l + 1 extends
@@ -33,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 from .families import (
     SUM_PLUS_C_PROD,
@@ -182,19 +185,22 @@ def verify_periodic(pw: PeriodicWord, fam: FunctionalFamily, m: int) -> Certific
     per = math.lcm(P * n, P * cyc.cycle_len)
     checked_max_l = pre + per
     vanishes = fam.vanishes
+    bits = [1 << t for t in range(P)]
     counter = None
     # Brent's cycle test on (l mod P, states): a mark, first taken at
     # length 2, is compared at the multiples of P past it and moves on at
     # a span that doubles
     mark_l, mark, span = 2 - P, None, P
     for l, states in lockstep_states(period, fam, checked_max_l):
-        z = list(map(vanishes, states))
-        if any(z):
-            counter = next(
-                ((s, l) for s in range(P) if all(z[(s + j * l) % P] for j in range(m))),
-                None,
-            )
-            if counter is not None:
+        # bit t of Z: the block at residue t vanishes; bit s of W: the
+        # blocks at residues (s + j*l) mod P all vanish, j < m
+        Z = sum(compress(bits, map(vanishes, states)))
+        if Z:
+            W = Z
+            for j in range(1, m):
+                W &= (Z | Z << P) >> (j * l % P)
+            if W:
+                counter = ((W & -W).bit_length() - 1, l)
                 break
         if (l - mark_l) % P == 0:
             if states == mark:

@@ -42,6 +42,22 @@ def test_eval_examples(capsys, cache):
     assert (code, out.strip()) == (EXIT_OK, "0,2")
 
 
+def test_word_literals_may_start_with_a_minus(capsys, cache, tmp_path):
+    # -3,1 is 2,1 mod 5: 2 + 1 + 2*1 = 0; the spaced form and the = form agree
+    for argv in (["--block", "-3,1"], ["--block=-3,1"]):
+        code, out, _ = run(capsys, "eval", "--n", "5", "--family", "sum_plus_c_prod:1", *argv)
+        assert (code, out.strip()) == (EXIT_OK, "0")
+    # -10,10 is the witness 2,10 mod 12
+    for argv in (["--period", "-10,10"], ["--period=-10,10"]):
+        code, out, _ = run(capsys, "verify", "--n", "12", "--family", "sum_plus_c_prod:1",
+                           *argv, "--out", str(tmp_path / "cert.json"))
+        assert (code, "verdict: avoiding" in out) == (EXIT_OK, True)
+        assert load_certificate(tmp_path / "cert.json").period == (2, 10)
+    code, out, _ = run(capsys, "verify", "--n", "5", "--family", "sum_plus_c_prod:2",
+                       "--period", "-1,2")
+    assert code == EXIT_REFUTED and "counter_window: s=0 l=3" in out
+
+
 def test_verify_avoiding_writes_certificate(capsys, cache, tmp_path):
     cert_path = tmp_path / "cert.json"
     code, out, _ = run(capsys, "verify", "--n", "12", "--family", "sum_plus_c_prod:1",
@@ -90,6 +106,9 @@ def test_mine(capsys, cache):
                        "--pmax", "2")
     assert code == EXIT_OK
     assert "witness: 2,10" in out
+    assert "candidates_checked: 90" in out
+    # F_1 has no scaling units, and every period of length <= 2 is its own mirror
+    assert "verified: 90" in out
     assert "enumeration_complete: True" in out
 
 

@@ -23,7 +23,7 @@ from blockzero.search import (
     suffix_set_search,
     xyr_solve,
 )
-from blockzero.verify import AVOIDING, REFUTED, recheck_certificate
+from blockzero.verify import AVOIDING, REFUTED, recheck_certificate, verify_periodic
 from blockzero.words import PeriodicWord, min_rotation
 
 from oracles import (
@@ -159,6 +159,53 @@ def test_mine_witness_pinned(n, m, p_max, limit, periods, checked, complete):
     assert all(cert.period == pw.period for pw, cert in res.witnesses)
     assert res.candidates_checked == checked
     assert res.complete is complete
+
+
+def reference_mine(n, fam, m, p_max, symbols, limit):
+    """The miner with no symmetry skip: every necklace over the sorted
+    symbols, in lexicographic order, is verified."""
+    witnesses, checked = [], 0
+    for P in range(1, p_max + 1):
+        for t in product(symbols, repeat=P):
+            if t != min_rotation(t):
+                continue
+            checked += 1
+            cert = verify_periodic(PeriodicWord(t, n), fam, m)
+            if cert.verdict == AVOIDING:
+                witnesses.append(cert)
+                if limit is not None and len(witnesses) >= limit:
+                    return witnesses, False, checked
+    return witnesses, True, checked
+
+
+@pytest.mark.parametrize(
+    "n, c, m",
+    [(n, 0, 2) for n in range(2, 12)] + [(8, 2, 1), (12, 4, 1), (12, 6, 2)],
+)
+def test_mine_witness_matches_a_miner_without_skips(n, c, m):
+    # the mirror and unit-scaling skips change how many candidates are
+    # verified, nothing else; the last three cells have witnesses with a
+    # smaller avoiding image, so the skip's "verify t too" branch runs
+    ctx = ModulusContext(n)
+    fam = sum_plus_c_prod(ctx, c)
+    units = (1,) + fam.scaling_units()
+    skipped = image_avoided = 0
+    for d in (d for d in range(2, n + 1) if n % d == 0):
+        for limit in (None, 1):
+            res = mine_witness(ctx, fam, m, 4, alphabet=range(d), limit=limit)
+            certs, complete, checked = reference_mine(n, fam, m, 4, range(d), limit)
+            assert [cert for _, cert in res.witnesses] == certs
+            assert all(pw.period == cert.period for pw, cert in res.witnesses)
+            assert (res.complete, res.candidates_checked) == (complete, checked)
+            assert res.verified <= checked
+            skipped += checked - res.verified
+            for cert in certs:
+                t = cert.period
+                scaled = [tuple(u * a % n for a in t) for u in units]
+                images = {min_rotation(v) for w in scaled for v in (w, w[::-1])}
+                image_avoided += any(v < t and max(v) < d for v in images)
+    assert skipped > 0 or n == 2
+    assert image_avoided > 0 or c == 0
 
 
 def test_necklaces_match_filtered_tuples():

@@ -183,9 +183,11 @@ def full_scan_certificate(period, fam, m):
 
 
 def test_verify_periodic_matches_naive_first_window():
-    # every canonical period with P <= 3 over n <= 8, against folds of the
-    # unrolled word up to checked_max_l, and the whole certificate against
-    # a full scan with no repeat stop
+    # every canonical period with P <= 3 over n <= 8, and with P = 4, 5
+    # over n <= 5 at m = 3, where the window's residues (s + j*l) mod P
+    # wrap past P in more ways, against folds of the unrolled word up to
+    # checked_max_l, and the whole certificate against a full scan with no
+    # repeat stop
     for n in range(2, 9):
         ctx = ModulusContext(n)
         cases = [
@@ -197,12 +199,13 @@ def test_verify_periodic_matches_naive_first_window():
                 transformation_sums(ctx, [list(range(n)), table]),
                 lambda b, table=table: naive_block_sum(b, n) == 0 and naive_block_sum(b, n, table) == 0,
             ))
-        for P in (1, 2, 3):
+        shapes = [(P, (1, 2, 3)) for P in (1, 2, 3)] + [(P, (3,)) for P in (4, 5) if n <= 5]
+        for P, ms in shapes:
             for period in itertools.product(range(n), repeat=P):
                 if period != min_rotation(period):
                     continue
                 for fam, vanishes in cases:
-                    for m in (1, 2, 3):
+                    for m in ms:
                         cert = verify_periodic(PeriodicWord(period, n), fam, m)
                         want = first_vanishing_window(period, m, cert.checked_max_l, vanishes)
                         assert cert.counter_window == want, (n, fam.to_descriptor(), period, m)
@@ -285,6 +288,55 @@ def test_mirror_image_shares_the_verdict():
                         a = verify_periodic(PeriodicWord(period, n), fam, m)
                         b = verify_periodic(PeriodicWord(mirror, n), fam, m)
                         assert a.verdict == b.verdict, (n, fam.to_descriptor(), period, m)
+
+
+def test_unit_scaled_image_shares_the_verdict():
+    # for a unit u = 1 mod n / gcd(n, c), u*B vanishes iff B does, and
+    # scaling the period maps each window (s, l) onto the same window of
+    # the scaled word (the miner's unit skip rests on it)
+    for n in range(2, 13):
+        ctx = ModulusContext(n)
+        assert transformation_sums(ctx, [list(range(n))]).scaling_units() == ()
+        for c in sorted({0, 1, n - 1, 2, 4, 6}):
+            if c >= n:
+                continue
+            fam = sum_plus_c_prod(ctx, c)
+            # u = 1 mod n / gcd(n, c) iff (u - 1) * c = 0 mod n: none for
+            # c = 1, -1 or a c prime to n
+            units = fam.scaling_units()
+            assert units == tuple(
+                u for u in range(2, n) if math.gcd(u, n) == 1 and (u - 1) * c % n == 0
+            )
+            if not units:
+                continue
+            periods = [
+                t for P in (1, 2, 3, 4) for t in itertools.product(range(n), repeat=P)
+                if t == min_rotation(t)
+            ]
+            for m in (1, 2):
+                # verify_periodic canonicalises, so each image's certificate is
+                # the one of its canonical rotation
+                certs = {t: verify_periodic(PeriodicWord(t, n), fam, m) for t in periods}
+                for period, cert in certs.items():
+                    for u in units:
+                        scaled = tuple(u * x % n for x in period)
+                        image = certs[min_rotation(scaled)]
+                        assert image.verdict == cert.verdict, (n, c, period, u, m)
+                        if scaled == min_rotation(scaled):
+                            # the same frame: the same first window
+                            assert image.counter_window == cert.counter_window
+                        elif cert.counter_window is not None:
+                            # a rotation moves the start, not the length
+                            assert image.counter_window[1] == cert.counter_window[1]
+            for period in periods:
+                for block in (period, period * 2):
+                    if len(block) < 2:
+                        continue
+                    want = naive_f_c(block, n, c)
+                    for u in units:
+                        scaled = tuple(u * x % n for x in block)
+                        assert naive_f_c(scaled, n, c) == u * want % n
+                        assert fam.value(scaled) == (u * want % n,)
 
 
 def test_verify_supports_vector_transformation_sums():
