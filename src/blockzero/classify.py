@@ -2,11 +2,10 @@
 
 The pipeline tries, in order: a cataloged witness construction, mined
 periodic witnesses (smallest divisor alphabets first), and the avoidance
-search: at m = 1 the suffix-state-set graph, with the avoidance-tree DFS
-as its fallback, and the DFS alone at m >= 2.  Every returned proof
-object is independently re-checkable, and verdicts are compared against
-the known classification of these families; a verified disagreement is
-a hard error, not a result.
+search: the suffix-state-set graph alone at m = 1, and the avoidance-tree
+DFS at m >= 2.  Every returned proof object is independently
+re-checkable, and verdicts are compared against the known classification
+of these families; a verified disagreement is a hard error, not a result.
 """
 
 from __future__ import annotations
@@ -360,11 +359,10 @@ def classify(
             break
 
     # 3. avoidance search: at m = 1 the graph of suffix-state sets, which
-    # decides either way; the tree DFS at m >= 2, and at m = 1 when the
-    # graph's budget runs out, so an UNKNOWN still reports its cap or
-    # node stop
+    # decides either way or reports its own budget stop (each reachable
+    # set is some tree node's, so the DFS under the same node budget
+    # exhausts no cell the graph leaves open); the tree DFS at m >= 2
     search_deadline = t0 + budget_ms / 1000.0
-    outcome = None
     if m == 1:
         found = suffix_set_search(ctx, fam, cap, max_nodes=max_nodes, deadline=search_deadline)
         if found.certificate is not None:
@@ -376,7 +374,7 @@ def classify(
                 )
             )
         outcome = found.outcome
-    if outcome is None:
+    else:
         outcome = longest_avoiding_word(
             ctx, fam, m, cap, max_nodes=max_nodes, deadline=search_deadline
         )

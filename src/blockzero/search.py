@@ -6,11 +6,14 @@ when the family is m-vanishing, so an exhausted DFS is a proof and its
 maximal depth plus one is the exact threshold.  The DFS works on the
 family's block states (FunctionalFamily.block_state/extend/vanishes), not
 on a Word: every distinct state is expanded once into its successors and
-the set of symbols whose extension vanishes, so a node finds all of its
-forbidden children with a few bitmask ORs instead of scanning windows.
-At m = 1 suffix_set_search folds the tree into a graph on the sets of
-suffix states and decides either way: a cycle is a periodic witness, and
-an exhausted graph gives the exact threshold.
+the set of symbols whose extension vanishes.  One kernel serves every m:
+a node keeps, per distinct suffix state, the bitmask of the suffix
+lengths in that state (a column), and a per-depth diagonal of the block
+lengths whose m - 1 earlier blocks vanish, so it finds all of its
+forbidden children with one read and an OR per column instead of
+scanning windows.  At m = 1 suffix_set_search folds the tree into a
+graph on the sets of suffix states and decides either way: a cycle is a
+periodic witness, and an exhausted graph gives the exact threshold.
 """
 
 from __future__ import annotations
@@ -92,12 +95,16 @@ def longest_avoiding_word(
     longest_word is the first word found at that depth.  Cap or budget
     exhaustion yields CapReached with the deepest avoiding frontier found.
 
-    A node keeps the block states of its suffixes, interned as ids in a
-    _StateTable.  Child a ends a vanishing window of block length l iff
-    the m - 1 earlier blocks vanish and bit a of the length-(l - 1)
-    suffix's mask is set.  For m = 1 the forbidden children
-    are the OR of the masks over the set of suffix states; for m >= 2 the
-    earlier blocks are read from per-depth bitmasks of vanishing lengths.
+    A node keeps columns: each distinct suffix state (an id in a
+    _StateTable) maps to the bitmask of the suffix lengths in it, so a
+    child shifts every column by one and merges them by successor state
+    (Shift-And bit parallelism).  Child a ends a vanishing window of block
+    length l iff bit a of the length-(l - 1) suffix's mask is set and bit
+    l of ends[depth + 1] is: the m - 1 earlier blocks vanish (every l at
+    m = 1).  ends is the last of m - 1 diagonals that each vanishing block
+    feeds until the search backtracks past it.  The stack is explicit, so
+    the cap does not meet Python's recursion limit; the deadline is read
+    at the root and then every 2,048 nodes.
     """
     if cap < 2:
         raise PreconditionError(f"cap must be >= 2, got {cap}")
@@ -107,88 +114,73 @@ def longest_avoiding_word(
     table = _StateTable(fam, n)
     rows, masks, expand, singles = table.rows, table.masks, table.expand, table.singles
     word: list[int] = []
-    # vanishing[d]: bit l set iff the length-l block ending at depth d vanishes
-    vanishing = [0]
-    best, best_word, nodes, stop = 0, (), 0, None
-    check_every = 2048
+    # diags[j][d]: bit l iff the j + 1 length-l blocks ending at d - l,
+    # d - 2l, ... vanish; a vanishing block at depth d sets bit l of
+    # diags[j][d + l] (d + l <= 2 * cap) for every j its run reaches
+    diags = [[0] * (2 * cap + 1) for _ in range(m - 1)]
+    ends = diags[-1] if diags else [-1] * (cap + 1)
+    fed: list[list] = [[]]  # per depth, the (diagonal, lengths) it set
 
-    def enter() -> bool:
-        """Count the node; False when a stop condition ends the search."""
-        nonlocal best, best_word, nodes, stop
+    def toggle(d: int) -> None:
+        for diag, w in fed[d]:
+            while w:
+                bit = w & -w
+                w ^= bit
+                diag[d + bit.bit_length() - 1] ^= bit
+
+    stack: list[tuple] = []  # (shifted columns, remaining children) of each parent
+    limit = max_nodes if max_nodes is not None else float("inf")
+    best, best_word, nodes = 0, (), 0
+    cols: dict[int, int] = {}  # the empty word: no suffixes
+    while True:
         nodes += 1
         L = len(word)
         if L > best:
             best, best_word = L, tuple(word)
-        if L >= cap:
-            stop = "cap"
-        elif max_nodes is not None and nodes >= max_nodes:
-            stop = "budget"
-        elif deadline is not None and nodes % check_every == 0 and time.monotonic() > deadline:
-            stop = "budget"
-        return stop is None
-
-    def dfs_set(suffixes) -> None:
-        # m = 1: only the set of suffix states matters
-        if not enter():
-            return
-        forbidden = 0
-        srows = []
-        for i in suffixes:
-            srows.append(rows[i] or expand(i))
-            forbidden |= masks[i]
-        for a in range(n):
-            if forbidden >> a & 1:
-                continue
-            child = {row[a] for row in srows}
-            child.add(singles[a])
-            word.append(a)
-            dfs_set(child)
+        if L >= cap or nodes >= limit or (
+            deadline is not None
+            and (nodes == 1 or nodes % 2048 == 0)
+            and time.monotonic() > deadline
+        ):
+            return SearchOutcome(
+                CAP_REACHED, None, best_word, nodes, best, budget_exhausted=L < cap
+            )
+        # each column shifted to the lengths of the child's blocks
+        E, forbidden, shifted = ends[L + 1], 0, []
+        for i, col in cols.items():
+            row, col = rows[i] or expand(i), col << 1
+            if col & E:
+                forbidden |= masks[i]
+            shifted.append((row, col, masks[i]))
+        todo = iter([a for a in range(n) if not forbidden >> a & 1])
+        while (a := next(todo, None)) is None:
+            if not stack:
+                return SearchOutcome(EXHAUSTED, best + 1, best_word, nodes, cap)
+            toggle(len(word))
+            fed.pop()
             word.pop()
-            if stop:
-                return
-
-    def dfs_list(suffixes: list[int]) -> None:
-        # suffixes[k]: the state of the length-(k + 1) suffix
-        if not enter():
-            return
-        srows = [rows[i] or expand(i) for i in suffixes]
-        L1 = len(word) + 1
-        forbidden = 0
-        for l in range(2, L1 // m + 1):
-            bit = 1 << l
-            if all(vanishing[L1 - j * l] & bit for j in range(1, m)):
-                forbidden |= masks[suffixes[l - 2]]
-        for a in range(n):
-            if forbidden >> a & 1:
-                continue
-            v = 0
-            for k, i in enumerate(suffixes, 2):
-                if masks[i] >> a & 1:
-                    v |= 1 << k
-            word.append(a)
-            vanishing.append(v)
-            dfs_list([singles[a]] + [row[a] for row in srows])
-            vanishing.pop()
-            word.pop()
-            if stop:
-                return
-
-    if m == 1:
-        dfs_set(())
-    else:
-        dfs_list([])
-    if stop is None:
-        return SearchOutcome(EXHAUSTED, best + 1, best_word, nodes, cap)
-    return SearchOutcome(
-        CAP_REACHED, None, best_word, nodes, best, budget_exhausted=(stop == "budget")
-    )
+            shifted, todo = stack.pop()
+        cols, vanish = {singles[a]: 2}, 0
+        for row, col, mask in shifted:
+            j = row[a]
+            cols[j] = cols.get(j, 0) | col
+            if mask >> a & 1:
+                vanish |= col
+        stack.append((shifted, todo))
+        word.append(a)
+        fed.append([])
+        for diag in diags:
+            fed[-1].append((diag, vanish))
+            vanish &= diag[len(word)]
+        toggle(len(word))
 
 
 @dataclass(frozen=True)
 class SuffixSetResult:
-    """What suffix_set_search settled: outcome when it explored every
-    reachable state (the exact threshold), certificate when it closed a
-    cycle (an avoiding period), neither when a budget stopped it."""
+    """What suffix_set_search settled: certificate when it closed a cycle
+    (an avoiding period), and otherwise outcome: EXHAUSTED with the exact
+    threshold when it explored every reachable state, or a budget stop
+    with the deepest path it walked."""
 
     states: int
     outcome: SearchOutcome | None = None
@@ -224,7 +216,10 @@ def suffix_set_search(
     one int, so a set's forbidden symbols and children take one lookup per
     byte of its mask.  Each set entered counts against max_nodes; the cap
     does not apply, since a proof does not depend on depth, and is only
-    recorded in the outcome.
+    recorded in an exhausted outcome.  A budget stop is a CAP_REACHED
+    outcome with budget_exhausted set, the sets entered as its node count,
+    and the first longest word the search walked, whose length stands in
+    for the cap.
     """
     if cap < 2:
         raise PreconditionError(f"cap must be >= 2, got {cap}")
@@ -273,9 +268,9 @@ def suffix_set_search(
     longest = {0: 0}
     path = {0: 0}  # set on the current path -> its depth
     word: list[int] = []
+    deepest: tuple[int, ...] = ()  # the first longest word on the path so far
     stack: list[tuple] = []  # (set, remaining children, best) of each parent of S
     limit = max_nodes if max_nodes is not None else float("inf")
-    check_every = 64
     S, todo, best = 0, iter(children(0)), 0  # the empty word: no suffixes
     # the deadline is read at the root and then every 64 sets, so a search
     # that starts after its deadline does no work and one that runs past
@@ -298,10 +293,12 @@ def suffix_set_search(
                 S, todo, best = child, iter(children(child)), 0
                 longest[S] = 0
                 path[S] = len(word)
+                if len(word) > len(deepest):
+                    deepest = tuple(word)
                 states = len(longest)
                 stopped = states >= limit or (
                     deadline is not None
-                    and states % check_every == 0
+                    and states % 64 == 0
                     and time.monotonic() > deadline
                 )
                 break
@@ -318,14 +315,17 @@ def suffix_set_search(
             if done >= best:
                 best = done + 1
     if stopped:
-        return SuffixSetResult(len(longest))
-    # the lexicographically first longest word: the smallest symbol whose
-    # child keeps the maximum, from the root down
-    best_word, S = [], 0
-    while longest[S]:
-        a, S = next((a, ch) for a, ch in children(S) if longest[ch] == longest[S] - 1)
-        best_word.append(a)
-    outcome = SearchOutcome(EXHAUSTED, longest[0] + 1, tuple(best_word), len(longest), cap)
+        outcome = SearchOutcome(
+            CAP_REACHED, None, deepest, len(longest), len(deepest), budget_exhausted=True
+        )
+    else:
+        # the lexicographically first longest word: the smallest symbol
+        # whose child keeps the maximum, from the root down
+        best_word, S = [], 0
+        while longest[S]:
+            a, S = next((a, ch) for a, ch in children(S) if longest[ch] == longest[S] - 1)
+            best_word.append(a)
+        outcome = SearchOutcome(EXHAUSTED, longest[0] + 1, tuple(best_word), len(longest), cap)
     return SuffixSetResult(len(longest), outcome=outcome)
 
 

@@ -1,3 +1,4 @@
+import importlib
 import json
 import shutil
 
@@ -127,16 +128,21 @@ def test_classify_m1_uses_the_suffix_set_graph():
     assert cls.nodes_expanded == 20
 
 
-def test_classify_m1_falls_back_to_the_dfs_on_a_graph_budget_stop():
-    # F_{-1} mod 7 needs 692,823 sets; past 40,000 the DFS reports its cap stop
+def test_classify_m1_reports_the_set_search_budget_stop(monkeypatch):
+    # F_{-1} mod 7 needs 692,823 sets; at 40,000 the set search's own stop
+    # is the UNKNOWN's outcome, and no tree DFS runs after it
+    classify_mod = importlib.import_module("blockzero.classify")
+
+    def no_dfs(*args, **kwargs):
+        raise AssertionError("classify ran the tree DFS at m = 1")
+
+    monkeypatch.setattr(classify_mod, "longest_avoiding_word", no_dfs)
     cls = classify(7, 6, 1, max_nodes=40_000)
     assert cls.verdict == UNKNOWN and cls.provenance is None
-    assert cls.outcome == SearchOutcome(
-        CAP_REACHED, None,
-        (0, 1, 0, 1, 2, 5, 2, 5, 2, 5, 2, 1, 0, 1, 4, 3, 4, 3, 4, 3, 4, 3, 4, 3),
-        6_181, 24,
-    )
-    assert cls.nodes_expanded == 6_181
+    out = cls.outcome
+    assert (out.status, out.threshold, out.budget_exhausted) == (CAP_REACHED, None, True)
+    assert cls.nodes_expanded == out.nodes_expanded == 40_000
+    assert out.cap == len(out.longest_word) == 21
 
 
 def test_classify_unknown_under_tiny_budget():

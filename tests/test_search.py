@@ -86,6 +86,15 @@ def test_cap_reached_on_nonvanishing_family():
     assert len(out.longest_word) == 48
     ctx = ModulusContext(5)
     assert_avoids(ctx, sum_plus_c_prod(ctx, 2), 1, out.longest_word)
+    # caps far past Python's recursion limit: the DFS keeps its own stack.
+    # At m = 2 the ascending search of F_2 mod 5 sinks into a finite
+    # subtree below depth 86, so the m = 2 input is power sums mod 7, whose
+    # first branch runs straight down (the naive check, cubic in the
+    # length, stays with the cap-48 case)
+    ctx7 = ModulusContext(7)
+    for ctx, fam, m in [(ctx, sum_plus_c_prod(ctx, 2), 1), (ctx7, power_sums(ctx7, 2), 2)]:
+        out = longest_avoiding_word(ctx, fam, m, 5000)
+        assert (out.status, len(out.longest_word)) == (CAP_REACHED, 5000)
 
 
 def test_budget_exhaustion_is_flagged():
@@ -95,6 +104,10 @@ def test_budget_exhaustion_is_flagged():
     assert len(out.longest_word) == out.cap
     ctx = ModulusContext(3)
     assert_avoids(ctx, sum_plus_c_prod(ctx, 1), 2, out.longest_word)
+    # the deadline is read at the root and then every 2,048 nodes, so a
+    # search that starts after its deadline does no work
+    out = search(3, 1, 2, cap=64, deadline=time.monotonic() - 1)
+    assert out == SearchOutcome(CAP_REACHED, None, (), 1, 0, budget_exhausted=True)
 
 
 def test_cap_below_two_rejected():
@@ -299,8 +312,14 @@ def test_vector_valued_search_matches_oracle():
         assert len(capped.longest_word) == oracle_threshold - 2
 
 
-# Outcomes of the window-scanning DFS this kernel replaced, cap 24, m = 1:
-# the kernel must visit the same nodes in the same order.
+def digits(s):
+    return tuple(map(int, s))
+
+
+# Outcomes of the window-scanning DFS (m = 1, cap 24) and of the per-length
+# list kernel (m >= 2) that this kernel replaced: it must visit the same
+# nodes in the same order.  Inputs are (n, c, max_nodes) at m = 1 and
+# cap 24, or (n, c, m, cap, max_nodes).
 PINNED_OUTCOMES = [
     ((6, 1, None), SearchOutcome(
         EXHAUSTED, 18, (0, 1, 0, 3, 1, 4, 1, 1, 4, 1, 4, 1, 1, 4, 2, 5, 2), 23_392, 24)),
@@ -314,13 +333,38 @@ PINNED_OUTCOMES = [
         CAP_REACHED, None,
         (0, 1, 0, 1, 2, 5, 2, 5, 2, 5, 2, 1, 0, 1, 4, 3, 4, 3, 4, 3, 4, 3, 4, 3),
         6_181, 24)),
+    ((3, 1, 2, 200, 20_000), SearchOutcome(
+        CAP_REACHED, None,
+        digits("00010002000200210020002000200010002"),
+        20_000, 35, budget_exhausted=True)),
+    ((4, 3, 2, 200, 20_000), SearchOutcome(
+        CAP_REACHED, None,
+        digits(
+            "000100010001000100010001000100021000100010001003010023100100"
+            "1310001000"
+        ),
+        20_000, 70, budget_exhausted=True)),
+    ((5, 4, 2, 200, 20_000), SearchOutcome(
+        CAP_REACHED, None,
+        digits(
+            "000100010001000100010001000100010001000210001000100010001000"
+            "10001000100010001310001000"
+        ),
+        20_000, 86, budget_exhausted=True)),
+    ((3, 1, 3, 200, 20_000), SearchOutcome(
+        CAP_REACHED, None,
+        digits(
+            "000001000001000001000001000001000001000001000001000002000100"
+            "0010000012001000001010001000001000120020000100000100021000"
+        ),
+        20_000, 118, budget_exhausted=True)),
 ]
 
 
 @pytest.mark.parametrize("args,expected", PINNED_OUTCOMES, ids=lambda v: str(v))
 def test_pinned_outcomes(args, expected):
-    n, c, max_nodes = args
-    assert search(n, c, 1, cap=24, max_nodes=max_nodes) == expected
+    n, c, m, cap, max_nodes = args if len(args) == 5 else (*args[:2], 1, 24, args[2])
+    assert search(n, c, m, cap=cap, max_nodes=max_nodes) == expected
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -511,14 +555,23 @@ def test_suffix_set_cycle_that_fails_verification_is_an_error(monkeypatch):
 
 
 def test_suffix_set_search_budgets():
-    # F_{-1} mod 7 has 692,823 reachable sets: every budget stops it
+    # F_{-1} mod 7 has 692,823 reachable sets: every budget stops it, and
+    # the stop is a budget outcome with the deepest path walked
+    ctx = ModulusContext(7)
     out = set_search(7, 6, max_nodes=1000)
-    assert (out.states, out.outcome, out.certificate) == (1000, None, None)
+    assert (out.states, out.certificate) == (1000, None)
+    assert out.outcome == SearchOutcome(
+        CAP_REACHED, None, (0, 1, 0, 1, 0, 2, 0, 1, 0, 1, 4, 3, 4, 3, 4, 3, 4, 3, 4, 3),
+        1000, 20, budget_exhausted=True,
+    )
+    assert_avoids(ctx, sum_plus_c_prod(ctx, 6), 1, out.outcome.longest_word)
     # the deadline is read at the root and then every 64 sets
     out = set_search(7, 6, deadline=time.monotonic() - 1)
-    assert (out.states, out.outcome, out.certificate) == (1, None, None)
+    assert (out.states, out.certificate) == (1, None)
+    assert out.outcome == SearchOutcome(CAP_REACHED, None, (), 1, 0, budget_exhausted=True)
     out = set_search(7, 6, deadline=time.monotonic() + 0.05)
     assert out.states == 1 or out.states % 64 == 0
-    assert (out.outcome, out.certificate) == (None, None)
+    assert out.certificate is None and out.outcome.budget_exhausted
+    assert out.outcome.nodes_expanded == out.states
     with pytest.raises(PreconditionError):
         set_search(2, 0, cap=1)
