@@ -515,7 +515,9 @@ def render_table(report: TableReport) -> str:
         elif cls.verdict == VANISHING_PROVED:
             detail = f"threshold {cls.threshold}"
         elif cls.outcome.budget_exhausted:
-            detail = f"node/time budget after {cls.outcome.nodes_expanded} nodes"
+            # at m = 1 the search counts suffix-state sets, not tree nodes
+            unit = "set" if cls.m == 1 else "node"
+            detail = f"{unit}/time budget after {cls.outcome.nodes_expanded} {unit}s"
         else:
             detail = f"cap reached at length {cls.outcome.cap}"
         if cell.contradiction:

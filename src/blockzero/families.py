@@ -6,14 +6,17 @@ Transformations are stored as explicit n-entry tables so families stay
 serializable and user-definable from files; power sums are the table sums
 of the power tables x -> x^i.
 
-The block-state hook (block_state/extend/vanishes) is the one place that
-knows what a block's value is.  The DFS, the set search, the lockstep
-periodic scan, the miner, finite-word scans and FunctionalFamily.value all
-fold it.
+The block-state hook (block_states/extend_all/vanishing_mask) is the one
+place that knows what a block's value is.  It is vector-shaped and bound
+once per family (_bind_hook), so a scan steps many states per call and the
+kind is tested once per family.  The DFS, the set search, the lockstep
+periodic scan, the miner, finite-word scans and FunctionalFamily.value
+all fold it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from itertools import product
 from math import gcd
@@ -33,16 +36,23 @@ class FunctionalFamily:
     c: int | None = None
     tables: tuple[tuple[int, ...], ...] | None = None
     r: int | None = None
-    # F_c's product is kept mod this (see block_state); n for other kinds
-    _product_modulus: int = field(init=False, repr=False, compare=False)
+    _sum_tables: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    # the block-state hook and the value of a state, bound by _bind_hook
+    block_states: Callable[[Iterable[int]], list] = field(init=False, repr=False, compare=False)
+    extend_all: Callable[[list, Iterable[int]], list] = field(init=False, repr=False, compare=False)
+    vanishing_mask: Callable[[list], int] = field(init=False, repr=False, compare=False)
+    _read: Callable[[tuple[int, ...]], tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.ctx.n
-        q = n // gcd(n, self.c) if self.kind == SUM_PLUS_C_PROD else n
-        object.__setattr__(self, "_product_modulus", q)
         if self.kind == POWER_SUMS:
             powers = tuple(tuple(pow(x, i, n) for x in range(n)) for i in range(1, self.r + 1))
             object.__setattr__(self, "tables", powers)
+        sums = self.tables or ((tuple(range(n)),) if self.kind == SUM_PLUS_C_PROD else ())
+        object.__setattr__(self, "_sum_tables", sums)
+        names = ("block_states", "extend_all", "vanishing_mask", "_read")
+        for name, f in zip(names, _bind_hook(self)):
+            object.__setattr__(self, name, f)
 
     @property
     def output_dim(self) -> int:
@@ -51,52 +61,7 @@ class FunctionalFamily:
     def sum_tables(self) -> tuple[tuple[int, ...], ...]:
         """Tables whose running sums fully determine this family's block
         values, or () when no such decomposition exists."""
-        if self.tables:
-            return self.tables
-        if self.kind == SUM_PLUS_C_PROD:
-            return (tuple(range(self.ctx.n)),)
-        return ()
-
-    # A block's value is a function of a small state built one symbol at a
-    # time: (sum, product) for F_c, the vector of table sums for
-    # transformation and power sums, and (e_1..e_r) for elementary
-    # symmetric polynomials.  F_c reads the product p only through c*p mod
-    # n, which depends only on p mod n / gcd(n, c), so the state keeps p
-    # reduced by that modulus (for c = 0, only the sum is left).
-
-    def block_state(self, a: int) -> tuple[int, ...]:
-        """The state of the one-symbol block (a)."""
-        a %= self.ctx.n
-        if self.kind == SUM_PLUS_C_PROD:
-            return (a, a % self._product_modulus)
-        if self.tables:
-            return tuple(t[a] for t in self.tables)
-        if self.kind == ELEMENTARY_SYMMETRIC:
-            return (a,) + (0,) * (self.r - 1)
-        raise PreconditionError(f"unknown family kind {self.kind!r}")
-
-    def extend(self, state: tuple[int, ...], a: int) -> tuple[int, ...]:
-        """The state of a block with state `state` followed by symbol a."""
-        n = self.ctx.n
-        a %= n
-        if self.kind == SUM_PLUS_C_PROD:
-            s, p = state
-            return ((s + a) % n, p * a % self._product_modulus)
-        if self.tables:
-            return tuple((x + t[a]) % n for x, t in zip(state, self.tables))
-        if self.kind == ELEMENTARY_SYMMETRIC:
-            # e_k += a * e_{k-1}, with e_0 = 1, all from the old values
-            return tuple((e + a * prev) % n for e, prev in zip(state, (1,) + state))
-        raise PreconditionError(f"unknown family kind {self.kind!r}")
-
-    def vanishes(self, state: tuple[int, ...]) -> bool:
-        """Whether a block with this state has the zero value."""
-        if self.kind == SUM_PLUS_C_PROD:
-            s, p = state
-            return (s + self.c * p) % self.ctx.n == 0
-        if self.kind == ELEMENTARY_SYMMETRIC:
-            return state[-1] == 0
-        return not any(state)
+        return self._sum_tables
 
     def scaling_units(self) -> tuple[int, ...]:
         """The units u != 1 of Z_n with value(u*B) = u*value(B) for every
@@ -105,7 +70,8 @@ class FunctionalFamily:
         c = 1 or -1); none for other kinds."""
         if self.kind != SUM_PLUS_C_PROD:
             return ()
-        n, q = self.ctx.n, self._product_modulus
+        n = self.ctx.n
+        q = n // gcd(n, self.c)
         return tuple(u for u in range(1 + q, n, q) if gcd(u, n) == 1)
 
     def value(self, symbols) -> tuple[int, ...]:
@@ -113,15 +79,10 @@ class FunctionalFamily:
         l >= 2 symbols."""
         if len(symbols) < 2:
             raise PreconditionError(f"block length must be >= 2, got {len(symbols)}")
-        state = self.block_state(symbols[0])
+        states = self.block_states(symbols[:1])
         for a in symbols[1:]:
-            state = self.extend(state, a)
-        if self.kind == SUM_PLUS_C_PROD:
-            s, p = state
-            return ((s + self.c * p) % self.ctx.n,)
-        if self.kind == ELEMENTARY_SYMMETRIC:
-            return (state[-1],)
-        return state
+            states = self.extend_all(states, (a,))
+        return self._read(states[0])
 
     def to_descriptor(self) -> dict:
         if self.kind == SUM_PLUS_C_PROD:
@@ -129,6 +90,73 @@ class FunctionalFamily:
         if self.kind == TRANSFORMATION_SUMS:
             return {"kind": self.kind, "tables": [list(t) for t in self.tables]}
         return {"kind": self.kind, "r": self.r}
+
+
+def _bind_hook(fam: FunctionalFamily):
+    """fam's (block_states, extend_all, vanishing_mask, read), bound to its
+    kind's constants.  A block's value is read off a small state built one
+    symbol (mod n) at a time: (sum, product) for F_c, the table sums for
+    transformation and power sums, (e_1..e_r) for e_r.  extend_all extends
+    states[t] by symbols[t]; bit t of vanishing_mask is set iff states[t]
+    has the zero value.  F_c reads the product p only through c*p mod n,
+    so its state keeps p mod q = n / gcd(n, c) (for c = 0, only the sum
+    is left) and has the value s - zero_sum[p]."""
+    n = fam.ctx.n
+    if fam.kind == SUM_PLUS_C_PROD:
+        q = n // gcd(n, fam.c)
+        zero_sum = [-fam.c * p % n for p in range(q)]
+
+        def block_states(symbols):
+            return [(a % n, a % q) for a in symbols]
+
+        def extend_all(states, symbols):
+            return [((s + a) % n, p * a % q) for (s, p), a in zip(states, symbols)]
+
+        def vanishing_mask(states):  # the scans' inner loop: no call per state
+            mask, bit = 0, 1
+            for s, p in states:
+                if s == zero_sum[p]:
+                    mask |= bit
+                bit <<= 1
+            return mask
+
+        def read(state):
+            return ((state[0] - zero_sum[state[1]]) % n,)
+
+        return block_states, extend_all, vanishing_mask, read
+    if fam.tables:
+        columns = [tuple(t[a] for t in fam.tables) for a in range(n)]  # the state of (a)
+
+        def block_states(symbols):
+            return [columns[a % n] for a in symbols]
+
+        def extend_all(states, symbols):
+            return [tuple([(x + y) % n for x, y in zip(st, columns[a % n])])
+                    for st, a in zip(states, symbols)]
+
+        def read(state):
+            return state
+
+    elif fam.kind == ELEMENTARY_SYMMETRIC:
+        zeros = (0,) * (fam.r - 1)
+
+        def block_states(symbols):
+            return [(a % n,) + zeros for a in symbols]
+
+        def extend_all(states, symbols):  # e_k += a * e_{k-1}, with e_0 = 1
+            return [tuple([(e + a * prev) % n for e, prev in zip(st, (1,) + st)])
+                    for st, a in zip(states, symbols)]
+
+        def read(state):
+            return (state[-1],)
+
+    else:
+        raise PreconditionError(f"unknown family kind {fam.kind!r}")
+
+    def vanishing_mask(states):
+        return sum([1 << t for t, st in enumerate(states) if not any(read(st))])
+
+    return block_states, extend_all, vanishing_mask, read
 
 
 def sum_plus_c_prod(ctx: ModulusContext, c: int) -> FunctionalFamily:
@@ -182,10 +210,10 @@ class Window:
 def elementary_symmetric(values, r: int, ctx: ModulusContext) -> int:
     """e_r of the values mod n, for any number of values; 0 when r > l."""
     fam = elementary_symmetric_family(ctx, r)
-    state = (0,) * r  # the empty block: e_0 = 1 and e_1..e_r = 0
+    states = [(0,) * r]  # the empty block: e_0 = 1 and e_1..e_r = 0
     for x in values:
-        state = fam.extend(state, x)
-    return state[-1]
+        states = fam.extend_all(states, (x,))
+    return states[0][-1]
 
 
 def vanishing_pairs(fam: FunctionalFamily) -> set[tuple[int, int]]:

@@ -79,19 +79,19 @@ def pow_cycle(g: int, ctx: ModulusContext) -> PowerCycle:
 
     Returns the minimal preperiod alpha and cycle length beta such that
     the sequence indexed from g^1 satisfies term[k + beta] == term[k]
-    for all k > alpha.
+    for all k > alpha.  Memoised on (g mod n, n).
     """
-    g %= ctx.n
-    seen: dict[int, int] = {}
+    return _pow_cycle(g % ctx.n, ctx.n)
+
+
+@lru_cache(maxsize=4096)
+def _pow_cycle(g: int, n: int) -> PowerCycle:
+    seen: dict[int, int] = {}  # g^(k + 1) -> k
     x = g
-    k = 0
     while x not in seen:
-        seen[x] = k
-        x = x * g % ctx.n
-        k += 1
-    alpha = seen[x]
-    beta = k - alpha
-    return PowerCycle(g, alpha, beta)
+        seen[x] = len(seen)
+        x = x * g % n
+    return PowerCycle(g, seen[x], len(seen) - seen[x])
 
 
 def sqrt_3mod4(a: int, p: int) -> int | None:

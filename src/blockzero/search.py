@@ -4,14 +4,15 @@ the constructive solver for x + r*y = 0, x*y^r = 1 over a prime field.
 The avoidance tree of words with no vanishing m-window is finite exactly
 when the family is m-vanishing, so an exhausted DFS is a proof and its
 maximal depth plus one is the exact threshold.  The DFS works on the
-family's block states (FunctionalFamily.block_state/extend/vanishes), not
-on a Word: every distinct state is expanded once into its successors and
-the set of symbols whose extension vanishes.  One kernel serves every m:
-a node keeps, per distinct suffix state, the bitmask of the suffix
-lengths in that state (a column), and a per-depth diagonal of the block
-lengths whose m - 1 earlier blocks vanish, so it finds all of its
-forbidden children with one read and an OR per column instead of
-scanning windows.  At m = 1 suffix_set_search folds the tree into a
+family's block states (the vector hook FunctionalFamily.block_states/
+extend_all/vanishing_mask), not on a Word: every distinct state is
+expanded once, by one extend_all call, into its n successors, whose
+vanishing_mask is the set of symbols whose extension vanishes.  One
+kernel serves every m: a node keeps, per distinct suffix state, the
+bitmask of the suffix lengths in that state (a column), and a per-depth
+diagonal of the block lengths whose m - 1 earlier blocks vanish, so it
+finds all of its forbidden children with one read and an OR per column
+instead of scanning windows.  At m = 1 suffix_set_search folds the tree into a
 graph on the sets of suffix states and decides either way: a cycle is a
 periodic witness, and an exhausted graph gives the exact threshold.
 """
@@ -58,7 +59,7 @@ class _StateTable:
         self.states: list[tuple[int, ...]] = []
         self.rows: list[list[int] | None] = []
         self.masks: list[int] = []
-        self.singles = [self.intern(fam.block_state(a)) for a in range(n)]
+        self.singles = [self.intern(st) for st in fam.block_states(range(n))]
 
     def intern(self, st: tuple[int, ...]) -> int:
         i = self.ids.get(st)
@@ -70,14 +71,9 @@ class _StateTable:
         return i
 
     def expand(self, i: int) -> list[int]:
-        fam, st = self.fam, self.states[i]
-        row, mask = [], 0
-        for a in range(self.n):
-            nxt = fam.extend(st, a)
-            row.append(self.intern(nxt))
-            if fam.vanishes(nxt):
-                mask |= 1 << a
-        self.rows[i], self.masks[i] = row, mask
+        succ = self.fam.extend_all([self.states[i]] * self.n, range(self.n))
+        row = [self.intern(st) for st in succ]
+        self.rows[i], self.masks[i] = row, self.fam.vanishing_mask(succ)
         return row
 
 

@@ -7,11 +7,12 @@ Checking every start residue and every l up to a computable bound
 therefore settles the infinite claim.
 
 verify_periodic makes that check in one lockstep pass on the family's
-block states (FunctionalFamily.block_state/extend/vanishes): it keeps the
-state of the length-l block at each of the P start residues, grows all of
-them by one symbol per length, and reads each m-window off the residues
-its blocks start at: the AND of the P-bit mask Z of vanishing residues
-rotated by j*l mod P, j < m, has bit s set iff window (s, l) vanishes.
+vector block-state hook (FunctionalFamily.block_states/extend_all/
+vanishing_mask): it keeps the state of the length-l block at each of the P
+start residues, grows all of them by one symbol per length in one
+extend_all call, and reads each m-window off the residues its blocks start
+at: the AND of the P-bit mask Z = vanishing_mask(states) rotated by
+j*l mod P, j < m, has bit s set iff window (s, l) vanishes.
 The length bound holds for F_c and transformation sums; other family
 kinds raise UnsupportedFamilyError.
 
@@ -25,9 +26,9 @@ already checked.  The certificate's bound fields are computed as before:
 checked_max_l stays the certificate's length bound and the pass's upper
 limit, so the certificate does not depend on where the pass stopped.
 
-Finite words are scanned on the same hook (scan_word), as are refuting
-windows (recheck_counter_window): the family's hook is the one block-value
-path.
+Finite words are scanned on the same hook (scan_word: the blocks at every
+start grow in lockstep too), as are refuting windows
+(recheck_counter_window): the family's hook is the one block-value path.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import compress
 
 from .families import (
     SUM_PLUS_C_PROD,
@@ -123,20 +123,17 @@ def scan_word(word: Word, fam: FunctionalFamily, m: int) -> list[Window]:
         raise PreconditionError(f"m must be >= 1, got {m}")
     symbols = word.symbols
     L = len(symbols)
-    # zero[s] has bit l set iff the length-l block at s vanishes
-    zero = [0] * L
-    for s in range(L - 1):
-        state = fam.block_state(symbols[s])
-        for l in range(2, L - s + 1):
-            state = fam.extend(state, symbols[s + l - 1])
-            if fam.vanishes(state):
-                zero[s] |= 1 << l
-    return [
-        Window(s, l, m)
-        for l in range(2, L // m + 1)
-        for s in range(L - m * l + 1)
-        if all(zero[s + j * l] >> l & 1 for j in range(m))
-    ]
+    windows = []
+    # states[s]: the state of the length-l block at s, for s <= L - l
+    states = fam.block_states(symbols[:-1])
+    for l in range(2, L // m + 1):
+        states = fam.extend_all(states, symbols[l - 1 :])
+        # bit s of W: the blocks at s, s + l, ..., s + (m - 1)*l all vanish
+        W = Z = fam.vanishing_mask(states)
+        for j in range(1, m):
+            W &= Z >> (j * l)
+        windows += [Window(s, l, m) for s in range(L - m * l + 1) if W >> s & 1]
+    return windows
 
 
 def lockstep_states(period: tuple[int, ...], fam: FunctionalFamily, max_l: int):
@@ -144,13 +141,13 @@ def lockstep_states(period: tuple[int, ...], fam: FunctionalFamily, max_l: int):
     state of the length-l block that starts at residue t of the infinite
     repetition of period.  All P blocks grow by one symbol per step."""
     P = len(period)
-    extend = fam.extend
+    extend_all = fam.extend_all
     # next_syms[r][t]: the symbol that extends the block at residue t when
     # its length becomes l with (l - 1) % P == r
     next_syms = [period[r:] + period[:r] for r in range(P)]
-    states = [fam.block_state(a) for a in period]
+    states = fam.block_states(period)
     for l in range(2, max_l + 1):
-        states = list(map(extend, states, next_syms[(l - 1) % P]))
+        states = extend_all(states, next_syms[(l - 1) % P])
         yield l, states
 
 
@@ -176,16 +173,13 @@ def verify_periodic(pw: PeriodicWord, fam: FunctionalFamily, m: int) -> Certific
     period = pw.canonical()
     P = len(period)
     n = ctx.n
-    G = 1
-    for x in period:
-        G = G * x % n
+    G = math.prod(period) % n
     T = tuple(sum(t[x] for x in period) % n for t in fam.sum_tables())
     cyc = pow_cycle(G, ctx)
     pre = P * (cyc.preperiod + 1)
     per = math.lcm(P * n, P * cyc.cycle_len)
     checked_max_l = pre + per
-    vanishes = fam.vanishes
-    bits = [1 << t for t in range(P)]
+    vanishing_mask = fam.vanishing_mask
     counter = None
     # Brent's cycle test on (l mod P, states): a mark, first taken at
     # length 2, is compared at the multiples of P past it and moves on at
@@ -194,7 +188,7 @@ def verify_periodic(pw: PeriodicWord, fam: FunctionalFamily, m: int) -> Certific
     for l, states in lockstep_states(period, fam, checked_max_l):
         # bit t of Z: the block at residue t vanishes; bit s of W: the
         # blocks at residues (s + j*l) mod P all vanish, j < m
-        Z = sum(compress(bits, map(vanishes, states)))
+        Z = vanishing_mask(states)
         if Z:
             W = Z
             for j in range(1, m):

@@ -129,6 +129,16 @@ def naive_value(desc, symbols, n):
     return tuple(naive_block_sum(symbols, n, t) for t in tables)
 
 
+def naive_vanishing_mask(desc, blocks, n):
+    """Bit t set iff blocks[t] has the zero value: each block folded
+    plainly by naive_value, its symbols read mod n."""
+    return sum(
+        1 << t
+        for t, block in enumerate(blocks)
+        if not any(naive_value(desc, [a % n for a in block], n))
+    )
+
+
 class Lcg:
     """Tiny deterministic generator: fixed enumeration order, no randomness
     beyond the seed."""

@@ -336,20 +336,23 @@ def test_reproduce_table_flags_contradictions(tmp_path, monkeypatch):
 
 
 def test_render_table_says_what_stopped_each_unknown_cell():
-    def cell(verdict, **kw):
-        return CellResult(Classification(7, 1, 2, verdict, None, **kw), None, False)
+    def cell(verdict, m=2, **kw):
+        return CellResult(Classification(7, 1, m, verdict, None, **kw), None, False)
 
     report = TableReport((
         cell(NONVANISHING_PROVED, witness=(2, 3)),
         cell(VANISHING_PROVED, threshold=14),
         cell(UNKNOWN, outcome=SearchOutcome(CAP_REACHED, None, (0,) * 24, 25, 24)),
         cell(UNKNOWN, outcome=SearchOutcome(CAP_REACHED, None, (0,) * 13, 1000, 13, True)),
+        # at m = 1 the set search's budget counts suffix-state sets
+        cell(UNKNOWN, m=1, outcome=SearchOutcome(CAP_REACHED, None, (0,) * 9, 40000, 9, True)),
     ), ())
     lines = render_table(report).splitlines()
     assert lines[2].endswith("witness 2,3")
     assert lines[3].endswith("threshold 14")
     assert lines[4].endswith("cap reached at length 24")
     assert lines[5].endswith("node/time budget after 1000 nodes")
+    assert lines[6].endswith("set/time budget after 40000 sets")
 
 
 def test_classification_round_trip():

@@ -1,3 +1,4 @@
+from itertools import product
 from math import gcd, prod
 
 import pytest
@@ -16,8 +17,9 @@ from blockzero.families import (
 )
 from blockzero.classify import family_hash
 from blockzero.ring import ModulusContext, PreconditionError
+from blockzero.search import _StateTable
 
-from oracles import Lcg, naive_elementary_symmetric, naive_f_c, naive_value
+from oracles import Lcg, naive_elementary_symmetric, naive_f_c, naive_value, naive_vanishing_mask
 
 
 def test_eval_sum_plus_c_prod_examples():
@@ -223,13 +225,80 @@ def test_f_c_state_keeps_the_product_mod_n_over_gcd():
         c = gen.below(n)
         fam = sum_plus_c_prod(ctx, c)
         symbols = tuple(gen.below(n) for _ in range(1 + gen.below(8)))
-        state = fam.block_state(symbols[0])
+        states = fam.block_states(symbols[:1])
         for a in symbols[1:]:
-            state = fam.extend(state, a)
+            states = fam.extend_all(states, (a,))
         q = n // gcd(n, c)
-        assert state == (sum(symbols) % n, prod(symbols) % q)
+        assert states == [(sum(symbols) % n, prod(symbols) % q)]
         if len(symbols) >= 2:
-            assert fam.vanishes(state) == (naive_f_c(symbols, n, c) == 0)
-    assert {sum_plus_c_prod(ModulusContext(7), 0).block_state(a) for a in range(7)} == {
+            assert fam.vanishing_mask(states) == (naive_f_c(symbols, n, c) == 0)
+    assert set(sum_plus_c_prod(ModulusContext(7), 0).block_states(range(7))) == {
         (a, 0) for a in range(7)
     }
+
+
+def hook_families(n):
+    """Every kind of family over Z_n: F_c for c in {0, 1, n - 1, 2, n/2},
+    the table family (x, x^2 + 1), power sums and e_r for r in {2, 3}."""
+    ctx = ModulusContext(n)
+    cs = {0, 1, n - 1, 2 % n} | ({n // 2} if n % 2 == 0 else set())
+    fams = [sum_plus_c_prod(ctx, c) for c in sorted(cs)]
+    fams.append(transformation_sums(ctx, [range(n), [(x * x + 1) % n for x in range(n)]]))
+    for r in (2, 3):
+        fams += [power_sums(ctx, r), elementary_symmetric_family(ctx, r)]
+    return fams
+
+
+def test_vector_hook_agrees_with_naive_folds():
+    # batches of equal-length blocks fold in lockstep: after each symbol,
+    # vanishing_mask of the states must match the naive folds of the
+    # prefixes, and value each block's naive value; symbols run from -2n
+    # to 2n - 1, so some are negative and some >= n, and give the states
+    # that the same symbols reduced mod n give
+    gen = Lcg(71)
+    for n in range(2, 10):
+        for fam in hook_families(n):
+            desc = fam.to_descriptor()
+            for l in range(2, 13):
+                blocks = [[gen.below(4 * n) - 2 * n for _ in range(l)] for _ in range(1 + gen.below(6))]
+                states = fam.block_states([b[0] for b in blocks])
+                assert states == fam.block_states([b[0] % n for b in blocks])
+                for k in range(1, l):
+                    reduced = fam.extend_all(states, [b[k] % n for b in blocks])
+                    states = fam.extend_all(states, [b[k] for b in blocks])
+                    assert states == reduced
+                    prefixes = [b[: k + 1] for b in blocks]
+                    assert fam.vanishing_mask(states) == naive_vanishing_mask(desc, prefixes, n), (
+                        desc, n, prefixes)
+                for b in blocks:
+                    assert fam.value(b) == naive_value(desc, [a % n for a in b], n)
+
+
+def test_state_table_rows_and_masks_agree_with_naive_folds():
+    # every block of length <= 3 walked through the interned table: bit a
+    # of its state's mask is set iff the block extended by a vanishes
+    for n in range(2, 10):
+        for fam in hook_families(n):
+            desc, table = fam.to_descriptor(), _StateTable(fam, n)
+            for l in (1, 2, 3):
+                for block in product(range(n), repeat=l):
+                    i = table.singles[block[0]]
+                    for a in block[1:]:
+                        i = (table.rows[i] or table.expand(i))[a]
+                    row = table.rows[i] or table.expand(i)
+                    want = naive_vanishing_mask(desc, [block + (a,) for a in range(n)], n)
+                    assert table.masks[i] == want, (desc, n, block)
+                    assert [table.states[j] for j in row] == fam.extend_all(
+                        [table.states[i]] * n, range(n))
+
+
+def test_families_from_one_descriptor_are_equal_and_hash_equal():
+    # the bound hook stays out of __eq__ and __hash__
+    for n in range(2, 10):
+        ctx = ModulusContext(n)
+        for fam in hook_families(n):
+            again = family_from_descriptor(ModulusContext(n), fam.to_descriptor())
+            assert again is not fam and again.extend_all is not fam.extend_all
+            assert again == fam and hash(again) == hash(fam)
+            assert len({fam, again}) == 1
+        assert sum_plus_c_prod(ctx, 1) != sum_plus_c_prod(ctx, 0)

@@ -8,6 +8,8 @@ from blockzero.ring import (
     factorize,
     is_cubic_residue,
     is_prime,
+    PowerCycle,
+    _pow_cycle,
     pow_cycle,
     sqrt_3mod4,
 )
@@ -62,6 +64,28 @@ def test_pow_cycle_sound_and_minimal_exhaustive():
             # alpha minimal, then beta minimal for that alpha
             assert not any(holds(a2, b) for a2 in range(a))
             assert not any(holds(a, b2) for b2 in range(1, b))
+
+
+def test_pow_cycle_memo_matches_a_power_walk():
+    # the memo is keyed on (g mod n, n): every g over every n <= 40, g
+    # outside [0, n) included, against a plain walk g^1, g^2, ... to the
+    # first repeated power
+    for n in range(2, 41):
+        ctx = ModulusContext(n)
+        for g in range(-n, 2 * n):
+            powers = []
+            x = g % n
+            while x not in powers:
+                powers.append(x)
+                x = x * g % n
+            alpha = powers.index(x)
+            assert pow_cycle(g, ctx) == PowerCycle(g % n, alpha, len(powers) - alpha)
+    # one g under two moduli is two entries with two different cycles
+    _pow_cycle.cache_clear()
+    five, seven = pow_cycle(2, ModulusContext(5)), pow_cycle(2, ModulusContext(7))
+    assert (five.cycle_len, seven.cycle_len) == (4, 3)
+    assert _pow_cycle.cache_info().currsize == 2
+    assert pow_cycle(9, ModulusContext(7)) is seven  # 9 = 2 mod 7: a hit
 
 
 def test_sqrt_3mod4_examples():

@@ -4,9 +4,9 @@ import math
 
 import pytest
 
+import blockzero.families
 import blockzero.verify
 from blockzero.families import (
-    FunctionalFamily,
     elementary_symmetric_family,
     power_sums,
     sum_plus_c_prod,
@@ -165,8 +165,8 @@ def full_scan_certificate(period, fam, m):
     pre, per = P * (alpha + 1), math.lcm(P * n, P * (len(powers) - alpha))
     counter = None
     for l, states in lockstep_states(period, fam, pre + per):
-        z = [fam.vanishes(st) for st in states]
-        hits = [s for s in range(P) if all(z[(s + j * l) % P] for j in range(m))]
+        z = fam.vanishing_mask(states)
+        hits = [s for s in range(P) if all(z >> (s + j * l) % P & 1 for j in range(m))]
         if hits:
             counter = [hits[0], l]
             break
@@ -220,22 +220,28 @@ def test_verify_periodic_matches_naive_first_window():
 
 
 def scan_trace(monkeypatch, n, c, period, m):
-    """(certificate, lengths the scan generated, vanishes calls it made)."""
+    """(certificate, lengths the scan generated, states it read vanishing
+    masks of)."""
     lengths, calls = [], []
     full_states = lockstep_states
-    full_vanishes = FunctionalFamily.vanishes
+    full_bind = blockzero.families._bind_hook
 
     def counted_states(*args):
         for l, states in full_states(*args):
             lengths.append(l)
             yield l, states
 
-    def counted_vanishes(self, state):
-        calls.append(state)
-        return full_vanishes(self, state)
+    def counted_bind(fam):
+        block_states, extend_all, vanishing_mask, read = full_bind(fam)
+
+        def counted_mask(states):
+            calls.extend(states)
+            return vanishing_mask(states)
+
+        return block_states, extend_all, counted_mask, read
 
     monkeypatch.setattr(blockzero.verify, "lockstep_states", counted_states)
-    monkeypatch.setattr(FunctionalFamily, "vanishes", counted_vanishes)
+    monkeypatch.setattr(blockzero.families, "_bind_hook", counted_bind)
     try:
         cert = avoiding_cert(n, c, period, m)
     finally:
