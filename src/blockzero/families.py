@@ -11,7 +11,9 @@ place that knows what a block's value is.  It is vector-shaped and bound
 once per family (_bind_hook), so a scan steps many states per call and the
 kind is tested once per family.  The DFS, the set search, the lockstep
 periodic scan, the miner, finite-word scans and FunctionalFamily.value
-all fold it.
+all fold it.  Its fifth member, whole_periods_vanish(period), answers from
+the same constants whether a block of k whole copies of a period vanishes
+for some k: the miner's refutation before any scan.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
-from .ring import ModulusContext, PreconditionError
+from .ring import ModulusContext, PreconditionError, _pow_cycle
 
 SUM_PLUS_C_PROD = "sum_plus_c_prod"
 TRANSFORMATION_SUMS = "transformation_sums"
@@ -41,6 +43,7 @@ class FunctionalFamily:
     block_states: Callable[[Iterable[int]], list] = field(init=False, repr=False, compare=False)
     extend_all: Callable[[list, Iterable[int]], list] = field(init=False, repr=False, compare=False)
     vanishing_mask: Callable[[list], int] = field(init=False, repr=False, compare=False)
+    whole_periods_vanish: Callable[[tuple[int, ...]], bool] = field(init=False, repr=False, compare=False)
     _read: Callable[[tuple[int, ...]], tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -50,7 +53,7 @@ class FunctionalFamily:
             object.__setattr__(self, "tables", powers)
         sums = self.tables or ((tuple(range(n)),) if self.kind == SUM_PLUS_C_PROD else ())
         object.__setattr__(self, "_sum_tables", sums)
-        names = ("block_states", "extend_all", "vanishing_mask", "_read")
+        names = ("block_states", "extend_all", "vanishing_mask", "whole_periods_vanish", "_read")
         for name, f in zip(names, _bind_hook(self)):
             object.__setattr__(self, name, f)
 
@@ -93,18 +96,29 @@ class FunctionalFamily:
 
 
 def _bind_hook(fam: FunctionalFamily):
-    """fam's (block_states, extend_all, vanishing_mask, read), bound to its
-    kind's constants.  A block's value is read off a small state built one
-    symbol (mod n) at a time: (sum, product) for F_c, the table sums for
-    transformation and power sums, (e_1..e_r) for e_r.  extend_all extends
-    states[t] by symbols[t]; bit t of vanishing_mask is set iff states[t]
-    has the zero value.  F_c reads the product p only through c*p mod n,
-    so its state keeps p mod q = n / gcd(n, c) (for c = 0, only the sum
-    is left) and has the value s - zero_sum[p]."""
+    """fam's (block_states, extend_all, vanishing_mask, whole_periods_vanish,
+    read), bound to its kind's constants.  A block's value is read off a
+    small state built one symbol (mod n) at a time: (sum, product) for F_c,
+    the table sums for transformation and power sums, (e_1..e_r) for e_r.
+    extend_all extends states[t] by symbols[t]; bit t of vanishing_mask is
+    set iff states[t] has the zero value.  F_c reads the product p only
+    through c*p mod n, so its state keeps p mod q = n / gcd(n, c) (for
+    c = 0, only the sum is left) and has the value s - zero_sum[p].
+
+    whole_periods_vanish(period) is True iff for some k >= 1 with
+    k*len(period) >= 2 a block of k copies of period vanishes.  Values are
+    symmetric functions, so every block of length k*P of the periodic word
+    (k copies of a rotation) has that value, and the m blocks of the window
+    at 0 of length k*P vanish for every m: a refutation of period^infinity
+    with no scan.  For F_c the value is k*T + c*g^k with T the period's sum
+    mod n and g its product mod q, memoised on (T, g, P == 1); table sums
+    vanish at k = n; e_r answers False, so the miner still hands it to
+    verify_periodic, which rejects the kind."""
     n = fam.ctx.n
     if fam.kind == SUM_PLUS_C_PROD:
         q = n // gcd(n, fam.c)
         zero_sum = [-fam.c * p % n for p in range(q)]
+        memo: dict[tuple[int, int, bool], bool] = {}
 
         def block_states(symbols):
             return [(a % n, a % q) for a in symbols]
@@ -120,10 +134,18 @@ def _bind_hook(fam: FunctionalFamily):
                 bit <<= 1
             return mask
 
+        def whole_periods_vanish(period):
+            key = (sum(period) % n, prod(period) % q, len(period) == 1)
+            hit = memo.get(key)
+            if hit is None:
+                T, g, single = key
+                hit = memo[key] = _k_periods_vanish(zero_sum, n, T, g, 2 if single else 1)
+            return hit
+
         def read(state):
             return ((state[0] - zero_sum[state[1]]) % n,)
 
-        return block_states, extend_all, vanishing_mask, read
+        return block_states, extend_all, vanishing_mask, whole_periods_vanish, read
     if fam.tables:
         columns = [tuple(t[a] for t in fam.tables) for a in range(n)]  # the state of (a)
 
@@ -136,6 +158,9 @@ def _bind_hook(fam: FunctionalFamily):
 
         def read(state):
             return state
+
+        def whole_periods_vanish(period):  # k = n copies: n times the period's sums
+            return True
 
     elif fam.kind == ELEMENTARY_SYMMETRIC:
         zeros = (0,) * (fam.r - 1)
@@ -150,13 +175,40 @@ def _bind_hook(fam: FunctionalFamily):
         def read(state):
             return (state[-1],)
 
+        def whole_periods_vanish(period):
+            return False
+
     else:
         raise PreconditionError(f"unknown family kind {fam.kind!r}")
 
     def vanishing_mask(states):
         return sum([1 << t for t, st in enumerate(states) if not any(read(st))])
 
-    return block_states, extend_all, vanishing_mask, read
+    return block_states, extend_all, vanishing_mask, whole_periods_vanish, read
+
+
+def _k_periods_vanish(zero_sum: list[int], n: int, T: int, g: int, first: int) -> bool:
+    """Whether k*T = zero_sum[g^k mod q] (mod n), q = len(zero_sum), for
+    some k >= first: for F_c, whether the block of k copies of a period
+    with sum T and product g (mod q) vanishes.
+
+    The powers of g mod q are periodic from g^(alpha + 1) on, with cycle
+    length beta (ring.pow_cycle), so each k <= alpha is tested directly.
+    Every k > alpha is e + j*beta with j >= 0 for one e among the beta
+    exponents that follow max(alpha, first - 1), and g^k = g^e.  Then
+    j*beta*T = zero_sum[g^e] - e*T (mod n) has a solution iff
+    gcd(beta*T, n) divides the right side, and some solution is >= 0,
+    since solutions repeat mod n."""
+    q = len(zero_sum)
+    cyc = _pow_cycle(g, q)
+    alpha, beta = cyc.preperiod, cyc.cycle_len
+    start = max(alpha, first - 1)
+    if any(k * T % n == zero_sum[pow(g, k, q)] for k in range(first, start + 1)):
+        return True
+    d = gcd(beta * T, n)
+    return any(
+        (zero_sum[pow(g, e, q)] - e * T) % n % d == 0 for e in range(start + 1, start + beta + 1)
+    )
 
 
 def sum_plus_c_prod(ctx: ModulusContext, c: int) -> FunctionalFamily:

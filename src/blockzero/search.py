@@ -330,7 +330,9 @@ class MineResult:
     witnesses: tuple
     complete: bool  # False when the deadline or the limit stopped the enumeration
     candidates_checked: int
-    verified: int  # the candidates that went to verify_periodic
+    # the candidates that went to verify_periodic: not those refuted by a
+    # smaller image or by whole periods (fam.whole_periods_vanish)
+    verified: int
 
 
 def _necklaces(symbols: tuple[int, ...], P: int):
@@ -372,17 +374,22 @@ def mine_witness(
     """Enumerate canonical necklaces of period <= p_max and keep every one
     whose infinite repetition is certified avoiding.
 
-    Necklaces are generated directly, in lexicographic order, and go to
-    verify_periodic, which stops at the first vanishing window, so most
-    candidates are refuted after a few block lengths.  A necklace shares
-    its verdict with its images: the period reversed, scaled by a unit u
-    of fam.scaling_units() (u*B vanishes iff B does), or both, since block
-    values are symmetric functions and reversing or scaling the periodic
-    word maps each m-window of blocks of length l to one of the image's.
-    A verified necklace records its images still to come with its verdict;
-    as images form orbits, a later necklace with a smaller image in the
-    alphabet finds it there, and is skipped if that image was refuted, or
-    verified for its own certificate if it avoids (it counts as checked).
+    Necklaces are generated directly, in lexicographic order.  Most are
+    refuted with no scan by fam.whole_periods_vanish: a block of k whole
+    periods vanishes, and with it the window at 0 of that length, for every
+    m.  Such a necklace is skipped; its images (below) reach the same test
+    by themselves, since reversal keeps the period's sum and product and a
+    scaling unit multiplies the whole-period value by u.  The rest go to
+    verify_periodic, which stops at the first vanishing window or repeated
+    state vector.  A necklace shares its verdict with its images: the
+    period reversed, scaled by a unit u of fam.scaling_units() (u*B
+    vanishes iff B does), or both, since block values are symmetric
+    functions and reversing or scaling the periodic word maps each m-window
+    of blocks of length l to one of the image's.  A verified necklace
+    records its images still to come with its verdict; as images form
+    orbits, a later necklace with a smaller image in the alphabet finds it
+    there, and is skipped if that image was refuted, or verified for its
+    own certificate if it avoids (it counts as checked).
 
     alphabet is the set of symbols tried (e.g. nonzero residues, or the
     residues below a divisor of n); it is reduced mod n, and order and
@@ -396,7 +403,7 @@ def mine_witness(
     symbols = tuple(sorted({a % n for a in alphabet})) if alphabet is not None else tuple(range(n))
     if not symbols:
         raise PreconditionError("alphabet must be nonempty")
-    units = fam.scaling_units()
+    units, whole_periods_vanish = fam.scaling_units(), fam.whole_periods_vanish
     witnesses = []
     checked = verified = 0
     for P in range(1, p_max + 1):
@@ -406,8 +413,8 @@ def mine_witness(
                 return MineResult(tuple(witnesses), False, checked, verified)
             checked += 1
             avoids = known.pop(t, None)
-            if avoids is False:
-                continue  # a smaller image was refuted, so t is too
+            if avoids is False or whole_periods_vanish(t):
+                continue  # refuted by a smaller image, or by k whole periods
             pw = PeriodicWord(t, n)
             cert = verify_periodic(pw, fam, m)
             verified += 1

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockzero.families import (
+    _k_periods_vanish,
     elementary_symmetric,
     elementary_symmetric_family,
     family_from_descriptor,
@@ -302,3 +303,68 @@ def test_families_from_one_descriptor_are_equal_and_hash_equal():
             assert again == fam and hash(again) == hash(fam)
             assert len({fam, again}) == 1
         assert sum_plus_c_prod(ctx, 1) != sum_plus_c_prod(ctx, 0)
+
+
+def brute_whole_period_masks(n, c, g, solutions):
+    """Bitmasks over T in Z_n of the k >= 1 and of the k >= 2 with
+    k*T + c*g^k = 0 (mod n), walking k up to alpha + lcm(n, beta) + 2, past
+    which k*T mod n and g^k mod q = n / gcd(n, c) repeat.  solutions[k][z]
+    is the mask of the T with k*T = z (mod n)."""
+    q = n // gcd(n, c)
+    seen, x = {}, g % q  # g^(k + 1) mod q -> k
+    while x not in seen:
+        seen[x] = len(seen)
+        x = x * g % q
+    alpha, beta = seen[x], len(seen) - seen[x]
+    first = second = 0
+    x = 1
+    for k in range(1, alpha + n * beta // gcd(n, beta) + 3):
+        x = x * g % n
+        hits = solutions[k % n][-c * x % n]
+        if k == 1:
+            first = hits
+        else:
+            second |= hits
+    return first | second, second
+
+
+def test_whole_periods_vanish_matches_a_walk_over_k():
+    # every n <= 30, c, g in Z_q and T: the F_c closure on a period of
+    # length >= 2, (g, 1, ..., 1), and the closed form with k >= 2 (the
+    # closure's P = 1 case) against a walk over k
+    for n in range(2, 31):
+        solutions = [[0] * n for _ in range(n)]
+        for k in range(n):
+            for T in range(n):
+                solutions[k][k * T % n] |= 1 << T
+        ctx = ModulusContext(n)
+        for c in range(n):
+            fam = sum_plus_c_prod(ctx, c)
+            q = n // gcd(n, c)
+            zero_sum = [-c * p % n for p in range(q)]
+            for g in range(q):
+                some_k, k_past_1 = brute_whole_period_masks(n, c, g, solutions)
+                for T in range(n):
+                    period = (g,) + (1,) * ((T - g - 1) % n + 1)
+                    assert sum(period) % n == T and len(period) >= 2
+                    want = bool(some_k >> T & 1)
+                    assert fam.whole_periods_vanish(period) is want, (n, c, g, T)
+                    want = bool(k_past_1 >> T & 1)
+                    assert _k_periods_vanish(zero_sum, n, T, g, 2) is want, (n, c, g, T)
+                    if T % q == g:
+                        assert fam.whole_periods_vanish((T,)) is want, (n, c, T)
+            # F_0: k = n / gcd(n, T) refutes every period
+            if c == 0:
+                assert all(fam.whole_periods_vanish(t) for t in product(range(n), repeat=2))
+
+
+def test_whole_periods_vanish_on_table_and_e_r_families():
+    # table sums vanish at k = n; e_r has no periodic decomposition
+    for n in range(2, 8):
+        ctx = ModulusContext(n)
+        tables = transformation_sums(ctx, [[x * x + 1 for x in range(n)]])
+        for P in (1, 2, 3):
+            for t in product(range(n), repeat=P):
+                assert tables.whole_periods_vanish(t) and power_sums(ctx, 2).whole_periods_vanish(t)
+                assert not any(naive_value(tables.to_descriptor(), t * n, n))
+                assert not elementary_symmetric_family(ctx, 2).whole_periods_vanish(t)

@@ -1,6 +1,7 @@
 import time
 from dataclasses import replace
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -10,7 +11,7 @@ from blockzero.families import (
     sum_plus_c_prod,
     transformation_sums,
 )
-from blockzero.ring import ModulusContext, PreconditionError
+from blockzero.ring import ModulusContext, PreconditionError, pow_cycle
 from blockzero.search import (
     CAP_REACHED,
     EXHAUSTED,
@@ -193,16 +194,24 @@ def reference_mine(n, fam, m, p_max, symbols, limit):
 
 @pytest.mark.parametrize(
     "n, c, m",
-    [(n, 0, 2) for n in range(2, 12)] + [(8, 2, 1), (12, 4, 1), (12, 6, 2)],
+    [(n, 0, 2) for n in range(2, 12)]
+    + [(8, 2, 1), (12, 4, 1), (12, 6, 2), (8, 1, 1), (9, 8, 2), (12, 11, 1)],
 )
 def test_mine_witness_matches_a_miner_without_skips(n, c, m):
-    # the mirror and unit-scaling skips change how many candidates are
-    # verified, nothing else; the last three cells have witnesses with a
-    # smaller avoiding image, so the skip's "verify t too" branch runs
+    # the mirror, unit-scaling and whole-period skips change how many
+    # candidates are verified, nothing else; (8, 2, 1), (12, 4, 1) and
+    # (12, 6, 2) have witnesses with a smaller avoiding image, so the skip's
+    # "verify t too" branch runs; the F_{+-1} cells have necklaces whose
+    # product is not a unit, so refutations with g's preperiod run
     ctx = ModulusContext(n)
     fam = sum_plus_c_prod(ctx, c)
     units = (1,) + fam.scaling_units()
     skipped = image_avoided = 0
+    pre_refuted = any(
+        pow_cycle(prod(t), ctx).preperiod > 0 and fam.whole_periods_vanish(t)
+        for P in range(1, 5)
+        for t in _necklaces(tuple(range(n)), P)
+    )
     for d in (d for d in range(2, n + 1) if n % d == 0):
         for limit in (None, 1):
             res = mine_witness(ctx, fam, m, 4, alphabet=range(d), limit=limit)
@@ -218,7 +227,27 @@ def test_mine_witness_matches_a_miner_without_skips(n, c, m):
                 images = {min_rotation(v) for w in scaled for v in (w, w[::-1])}
                 image_avoided += any(v < t and max(v) < d for v in images)
     assert skipped > 0 or n == 2
-    assert image_avoided > 0 or c == 0
+    assert image_avoided > 0 or c in (0, 1, n - 1)
+    assert pre_refuted or c not in (1, n - 1)
+
+
+def test_whole_period_refutations_are_refuted_by_verify():
+    # each F_c period that whole_periods_vanish refutes has a k with
+    # k*P >= 2 whose block of k periods vanishes under the naive fold, so
+    # the window at 0 of length k*P vanishes for every m
+    for n in range(2, 13):
+        ctx = ModulusContext(n)
+        for c in range(n):
+            fam = sum_plus_c_prod(ctx, c)
+            for P in (1, 2, 3):
+                for t in _necklaces(tuple(range(n)), P):
+                    if not fam.whole_periods_vanish(t):
+                        continue
+                    ks = range(-(-2 // P), 2 * n * n)  # k*P >= 2
+                    assert any(naive_f_c(t * k, n, c) == 0 for k in ks), (n, c, t)
+                    for m in (1, 2, 3):
+                        cert = verify_periodic(PeriodicWord(t, n), fam, m)
+                        assert cert.verdict == REFUTED, (n, c, t, m)
 
 
 def test_necklaces_match_filtered_tuples():

@@ -232,13 +232,13 @@ def scan_trace(monkeypatch, n, c, period, m):
             yield l, states
 
     def counted_bind(fam):
-        block_states, extend_all, vanishing_mask, read = full_bind(fam)
+        block_states, extend_all, vanishing_mask, *rest = full_bind(fam)
 
         def counted_mask(states):
             calls.extend(states)
             return vanishing_mask(states)
 
-        return block_states, extend_all, counted_mask, read
+        return block_states, extend_all, counted_mask, *rest
 
     monkeypatch.setattr(blockzero.verify, "lockstep_states", counted_states)
     monkeypatch.setattr(blockzero.families, "_bind_hook", counted_bind)
