@@ -17,7 +17,6 @@ from .classify import (
 from .families import (
     FunctionalFamily,
     Window,
-    elementary_symmetric,
     elementary_symmetric_family,
     newton_implication_check,
     power_sums,
@@ -72,7 +71,6 @@ __all__ = [
     "build_xyr_witness",
     "catalog_witness",
     "classify",
-    "elementary_symmetric",
     "elementary_symmetric_family",
     "expected_verdict",
     "is_cubic_residue",

@@ -16,6 +16,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
+from itertools import repeat
 
 from .families import FunctionalFamily, sum_plus_c_prod
 from .ring import ModulusContext, PreconditionError, factorize, is_prime
@@ -428,11 +429,6 @@ def _cell_args(n_max, c_kinds, m_set):
                 yield n, c, m
 
 
-def _classify_cell(args) -> dict:
-    n, c, m, budget_ms, cap, p_max, max_nodes = args
-    return classify(n, c, m, budget_ms=budget_ms, cap=cap, p_max=p_max, max_nodes=max_nodes).to_dict()
-
-
 def reproduce_table(
     n_max: int,
     c_kinds=("0", "1", "-1"),
@@ -445,42 +441,26 @@ def reproduce_table(
     jobs: int = 1,
 ) -> TableReport:
     """Classify the whole grid and flag verdicts contradicting the known
-    classification; Unknown never contradicts."""
-    argses = [
-        (n, c, m, budget_ms, cap, p_max, max_nodes)
-        for n, c, m in _cell_args(n_max, c_kinds, m_set)
-    ]
-    fresh: dict[int, str] = {}  # pooled cells computed now: index -> cache path
-    if jobs > 1:
-        # the parent serves cached cells and is the only cache writer
-        results = [None] * len(argses)
-        if cache_dir:
-            for i, (n, c, m, *_) in enumerate(argses):
-                fam = sum_plus_c_prod(ModulusContext(n), c)
-                path = _cache_path(cache_dir, n, fam, m)
-                results[i] = _load_cached(path, n, fam, m)
-                if results[i] is None:
-                    fresh[i] = path
-        misses = [i for i, cls in enumerate(results) if cls is None]
-        if misses:
-            from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay its import
+    classification; Unknown never contradicts.
 
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                dicts = list(pool.map(_classify_cell, [argses[i] for i in misses]))
-            for i, d in zip(misses, dicts):
-                results[i] = Classification.from_dict(d)
+    classify itself is mapped over the cells, in this process or, for
+    jobs > 1, in a pool of jobs processes; either way each call reads and
+    writes its own cell's cache entry, so both give the same report and
+    leave the same cache."""
+    grid = list(_cell_args(n_max, c_kinds, m_set))
+    args = [[cell[k] for cell in grid] for k in range(3)]  # the n, c and m columns
+    args += [repeat(v) for v in (budget_ms, cap, p_max, max_nodes, cache_dir)]
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay its import
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(classify, *args))
     else:
-        results = []
-        for a in argses:
-            n, c, m = a[0], a[1], a[2]
-            results.append(
-                classify(n, c, m, budget_ms=budget_ms, cap=cap, p_max=p_max,
-                         max_nodes=max_nodes, cache_dir=cache_dir)
-            )
+        results = list(map(classify, *args))
     cells = []
     contradictions = []
     dumps = []
-    for i, cls in enumerate(results):
+    for cls in results:
         exp = expected_verdict(cls.n, cls.c, cls.m)
         bad = is_contradiction(cls, exp)
         cell = CellResult(cls, exp, bad)
@@ -498,8 +478,6 @@ def reproduce_table(
                         fh, indent=1, sort_keys=True,
                     )
                 dumps.append(dump)
-        elif i in fresh:
-            _save_cached(fresh[i], cls)
     return TableReport(tuple(cells), tuple(contradictions), tuple(dumps))
 
 

@@ -84,6 +84,12 @@ def append_run_record(cache_dir: str, command: str, args: list[str], started: fl
         fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+def cert_path(cache_dir: str, fam: FunctionalFamily, cert) -> str:
+    """Where a certificate for fam is saved in the cache directory."""
+    period = "-".join(map(str, cert.period))
+    return os.path.join(cache_dir, f"cert_{cert.n}_{family_hash(fam)}_{cert.m}_{period}.json")
+
+
 def cmd_eval(args) -> int:
     ctx = ModulusContext(args.n)
     fam = parse_family(args.family, ctx)
@@ -99,8 +105,7 @@ def cmd_verify(args) -> int:
     pw = PeriodicWord(parse_symbols(args.period, ctx), ctx.n)
     cert = verify_periodic(pw, fam, args.m)
     cache_dir = resolve_cache_dir(args.cache_dir)
-    name = f"cert_{ctx.n}_{family_hash(fam)}_{args.m}_" + "-".join(map(str, cert.period)) + ".json"
-    path = args.out or os.path.join(cache_dir, name)
+    path = args.out or cert_path(cache_dir, fam, cert)
     save_certificate(cert, path)
     print(f"verdict: {cert.verdict}")
     print(f"checked_max_l: {cert.checked_max_l}")
@@ -143,8 +148,7 @@ def cmd_mine(args) -> int:
     cache_dir = resolve_cache_dir(args.cache_dir)
     artifacts = []
     for pw, cert in res.witnesses:
-        name = f"cert_{ctx.n}_{family_hash(fam)}_{args.m}_" + "-".join(map(str, cert.period)) + ".json"
-        path = os.path.join(cache_dir, name)
+        path = cert_path(cache_dir, fam, cert)
         save_certificate(cert, path)
         artifacts.append(path)
         print("witness: " + ",".join(map(str, cert.period)))
@@ -226,10 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, cache=True):
-        if cache:
-            p.add_argument("--cache-dir", default=None,
-                           help=f"proof artifact directory (default ${CACHE_ENV} or .blockzero_cache)")
+    def common(p):
+        p.add_argument("--cache-dir", default=None,
+                       help=f"proof artifact directory (default ${CACHE_ENV} or .blockzero_cache)")
 
     p = sub.add_parser("eval", help="evaluate a family on one block")
     p.add_argument("--n", type=int, required=True)

@@ -66,17 +66,6 @@ class FunctionalFamily:
         values, or () when no such decomposition exists."""
         return self._sum_tables
 
-    def scaling_units(self) -> tuple[int, ...]:
-        """The units u != 1 of Z_n with value(u*B) = u*value(B) for every
-        block B: for F_c those with u = 1 mod q = n / gcd(n, c), since then
-        u^l = u mod q and c*u^l = c*u mod n (every unit for c = 0, none for
-        c = 1 or -1); none for other kinds."""
-        if self.kind != SUM_PLUS_C_PROD:
-            return ()
-        n = self.ctx.n
-        q = n // gcd(n, self.c)
-        return tuple(u for u in range(1 + q, n, q) if gcd(u, n) == 1)
-
     def value(self, symbols) -> tuple[int, ...]:
         """The exact value vector of the family's function on a block of
         l >= 2 symbols."""
@@ -257,15 +246,6 @@ class Window:
     start: int
     length: int
     count: int
-
-
-def elementary_symmetric(values, r: int, ctx: ModulusContext) -> int:
-    """e_r of the values mod n, for any number of values; 0 when r > l."""
-    fam = elementary_symmetric_family(ctx, r)
-    states = [(0,) * r]  # the empty block: e_0 = 1 and e_1..e_r = 0
-    for x in values:
-        states = fam.extend_all(states, (x,))
-    return states[0][-1]
 
 
 def vanishing_pairs(fam: FunctionalFamily) -> set[tuple[int, int]]:

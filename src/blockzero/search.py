@@ -331,7 +331,7 @@ class MineResult:
     complete: bool  # False when the deadline or the limit stopped the enumeration
     candidates_checked: int
     # the candidates that went to verify_periodic: not those refuted by a
-    # smaller image or by whole periods (fam.whole_periods_vanish)
+    # smaller mirror or by whole periods (fam.whole_periods_vanish)
     verified: int
 
 
@@ -377,19 +377,15 @@ def mine_witness(
     Necklaces are generated directly, in lexicographic order.  Most are
     refuted with no scan by fam.whole_periods_vanish: a block of k whole
     periods vanishes, and with it the window at 0 of that length, for every
-    m.  Such a necklace is skipped; its images (below) reach the same test
-    by themselves, since reversal keeps the period's sum and product and a
-    scaling unit multiplies the whole-period value by u.  The rest go to
-    verify_periodic, which stops at the first vanishing window or repeated
-    state vector.  A necklace shares its verdict with its images: the
-    period reversed, scaled by a unit u of fam.scaling_units() (u*B
-    vanishes iff B does), or both, since block values are symmetric
-    functions and reversing or scaling the periodic word maps each m-window
-    of blocks of length l to one of the image's.  A verified necklace
-    records its images still to come with its verdict; as images form
-    orbits, a later necklace with a smaller image in the alphabet finds it
-    there, and is skipped if that image was refuted, or verified for its
-    own certificate if it avoids (it counts as checked).
+    m.  Such a necklace is skipped; its mirror (below) reaches the same test
+    by itself, since reversal keeps the period's sum and product.  The rest
+    go to verify_periodic, which stops at the first vanishing window or
+    repeated state vector.  A necklace shares its verdict with its mirror,
+    the period reversed, since block values are symmetric functions and
+    reversing the periodic word maps each m-window of blocks of length l to
+    one of the mirror's.  A verified necklace whose mirror comes later
+    records it with its verdict; the mirror is then skipped if refuted, or
+    verified for its own certificate if it avoids (it counts as checked).
 
     alphabet is the set of symbols tried (e.g. nonzero residues, or the
     residues below a divisor of n); it is reduced mod n, and order and
@@ -403,29 +399,25 @@ def mine_witness(
     symbols = tuple(sorted({a % n for a in alphabet})) if alphabet is not None else tuple(range(n))
     if not symbols:
         raise PreconditionError("alphabet must be nonempty")
-    units, whole_periods_vanish = fam.scaling_units(), fam.whole_periods_vanish
+    whole_periods_vanish = fam.whole_periods_vanish
     witnesses = []
     checked = verified = 0
     for P in range(1, p_max + 1):
-        known: dict[tuple[int, ...], bool] = {}  # later necklace -> whether it avoids
+        known: dict[tuple[int, ...], bool] = {}  # later mirror -> whether it avoids
         for t in _necklaces(symbols, P):
             if deadline is not None and time.monotonic() > deadline:
                 return MineResult(tuple(witnesses), False, checked, verified)
             checked += 1
             avoids = known.pop(t, None)
             if avoids is False or whole_periods_vanish(t):
-                continue  # refuted by a smaller image, or by k whole periods
+                continue  # refuted by its smaller mirror, or by k whole periods
             pw = PeriodicWord(t, n)
             cert = verify_periodic(pw, fam, m)
             verified += 1
             if avoids is None:
-                images = [t[::-1]]
-                for u in units:
-                    scaled = tuple([u * a % n for a in t])
-                    images += (scaled, scaled[::-1])
-                for image in map(min_rotation, images):
-                    if image > t:
-                        known[image] = cert.verdict == AVOIDING
+                mirror = min_rotation(t[::-1])
+                if mirror > t:
+                    known[mirror] = cert.verdict == AVOIDING
             if cert.verdict == AVOIDING:
                 witnesses.append((pw, cert))
                 if limit is not None and len(witnesses) >= limit:

@@ -1,6 +1,7 @@
 import importlib
 import json
 import shutil
+from dataclasses import replace
 
 import pytest
 
@@ -320,6 +321,43 @@ def test_parallel_report_serves_cached_cells(tmp_path):
     assert [c.classification.verdict for c in again.cells] == [
         c.classification.verdict for c in first.cells
     ]
+
+
+def test_serial_and_pooled_grids_agree(tmp_path, monkeypatch):
+    # a forced contradiction at (2, 0, 1): both runs report it and both
+    # leave its cell in the cache, as every other cell
+    mod = importlib.import_module("blockzero.classify")
+    known = mod.expected_verdict
+    monkeypatch.setattr(
+        mod, "expected_verdict",
+        lambda n, c, m: NONVANISHING if (n, c, m) == (2, 0, 1) else known(n, c, m),
+    )
+
+    def run(jobs):
+        cache = tmp_path / f"jobs{jobs}"
+        cache.mkdir()
+        report = mod.reproduce_table(
+            3, m_set=(1, 2), max_nodes=20_000, cache_dir=str(cache), jobs=jobs
+        )
+
+        def strip(cells):
+            return [
+                (replace(c.classification, elapsed_ms=0), c.expected, c.contradiction)
+                for c in cells
+            ]
+
+        return strip(report.cells), strip(report.contradictions), sorted(
+            p.name for p in cache.iterdir()
+        )
+
+    serial, pooled = run(1), run(2)
+    assert serial == pooled
+    cells, contradictions, files = serial
+    assert [c[0].n for c in contradictions] == [2]
+    assert "contradiction_2_0_1.json" in files
+    fam = sum_plus_c_prod(ModulusContext(2), 0)
+    assert _cache_path("", 2, fam, 1) in files  # the contradicting cell, cached
+    assert len([f for f in files if f.startswith("cls_")]) == len(cells)
 
 
 def test_reproduce_table_flags_contradictions(tmp_path, monkeypatch):

@@ -299,20 +299,16 @@ def test_mirror_image_shares_the_verdict():
 def test_unit_scaled_image_shares_the_verdict():
     # for a unit u = 1 mod n / gcd(n, c), u*B vanishes iff B does, and
     # scaling the period maps each window (s, l) onto the same window of
-    # the scaled word (the miner's unit skip rests on it)
+    # the scaled word
     for n in range(2, 13):
         ctx = ModulusContext(n)
-        assert transformation_sums(ctx, [list(range(n))]).scaling_units() == ()
         for c in sorted({0, 1, n - 1, 2, 4, 6}):
             if c >= n:
                 continue
             fam = sum_plus_c_prod(ctx, c)
             # u = 1 mod n / gcd(n, c) iff (u - 1) * c = 0 mod n: none for
             # c = 1, -1 or a c prime to n
-            units = fam.scaling_units()
-            assert units == tuple(
-                u for u in range(2, n) if math.gcd(u, n) == 1 and (u - 1) * c % n == 0
-            )
+            units = [u for u in range(2, n) if math.gcd(u, n) == 1 and (u - 1) * c % n == 0]
             if not units:
                 continue
             periods = [
