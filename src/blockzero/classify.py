@@ -1,7 +1,9 @@
 """Per-(n, c, m) verdicts for the sum-plus-c-product families.
 
-The pipeline tries, in order: a cataloged witness construction, mined
-periodic witnesses (smallest divisor alphabets first), and the avoidance
+The pipeline first looks for a witness: the cell's own cataloged
+construction, then the catalog constructions of the divisors of n lifted
+to Z_n (largest divisor first), then mined periodic witnesses (smallest
+divisor alphabets first).  Only without one does it run the avoidance
 search: the suffix-state-set graph alone at m = 1, and the avoidance-tree
 DFS at m >= 2.  Every returned proof object is independently
 re-checkable, and verdicts are compared against the known classification
@@ -145,58 +147,24 @@ class Classification:
     elapsed_ms: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "c": self.c,
-            "m": self.m,
-            "verdict": self.verdict,
-            "provenance": self.provenance,
-            "threshold": self.threshold,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "certificate": self.certificate.to_dict() if self.certificate else None,
-            "outcome": (
-                {
-                    "status": self.outcome.status,
-                    "threshold": self.outcome.threshold,
-                    "longest_word": list(self.outcome.longest_word),
-                    "nodes_expanded": self.outcome.nodes_expanded,
-                    "cap": self.outcome.cap,
-                    "budget_exhausted": self.outcome.budget_exhausted,
-                }
-                if self.outcome
-                else None
-            ),
-            "nodes_expanded": self.nodes_expanded,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        d = {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
+        if self.certificate is not None:
+            d["certificate"] = self.certificate.to_dict()
+        if self.outcome is not None:
+            d["outcome"] = {**vars(self.outcome), "longest_word": list(self.outcome.longest_word)}
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "Classification":
-        cert = Certificate.from_dict(d["certificate"]) if d.get("certificate") else None
-        out = None
-        if d.get("outcome"):
-            o = d["outcome"]
-            out = SearchOutcome(
-                o["status"],
-                o["threshold"],
-                tuple(o["longest_word"]),
-                o["nodes_expanded"],
-                o["cap"],
-                o["budget_exhausted"],
-            )
-        return cls(
-            n=d["n"],
-            c=d["c"],
-            m=d["m"],
-            verdict=d["verdict"],
-            provenance=d.get("provenance"),
-            threshold=d.get("threshold"),
-            witness=tuple(d["witness"]) if d.get("witness") is not None else None,
-            certificate=cert,
-            outcome=out,
-            nodes_expanded=d.get("nodes_expanded", 0),
-            elapsed_ms=d.get("elapsed_ms", 0),
+        """The record to_dict wrote; a missing field without a default, or
+        an unknown key, raises TypeError."""
+        d = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
+        cert, out = d.get("certificate"), d.get("outcome")
+        d["certificate"] = Certificate.from_dict(cert) if cert else None
+        d["outcome"] = (
+            SearchOutcome(**{**out, "longest_word": tuple(out["longest_word"])}) if out else None
         )
+        return cls(**d)
 
 
 def family_hash(fam: FunctionalFamily) -> str:
@@ -278,6 +246,33 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(2, n + 1) if n % d == 0]
 
 
+def _witness(ctx: ModulusContext, fam: FunctionalFamily, m: int, p_max: int,
+             deadline: float) -> tuple[str, Certificate] | None:
+    """A verified avoiding period for the cell, with its provenance, or None.
+
+    The cataloged constructions for the divisors d of n, largest first,
+    lift to Z_n (a window vanishing mod n vanishes mod every divisor): d = n
+    is the cell's own catalog entry ("catalog"), d < n a lift ("miner").
+    Then necklace enumeration over growing divisor alphabets ("miner"),
+    until the deadline."""
+    n = ctx.n
+    divisors = _divisors(n)
+    for d in reversed(divisors):
+        wd = catalog_witness(d, fam.c % d, m)
+        if wd is None:
+            continue
+        cert = verify_periodic(PeriodicWord(wd.period, n), fam, m)
+        if cert.verdict == AVOIDING:
+            return ("catalog" if d == n else "miner"), cert
+    for d in divisors:
+        res = mine_witness(ctx, fam, m, p_max, deadline=deadline, alphabet=range(d), limit=1)
+        if res.witnesses:
+            return "miner", res.witnesses[0][1]
+        if time.monotonic() > deadline:
+            break
+    return None
+
+
 def classify(
     n: int,
     c: int,
@@ -288,8 +283,8 @@ def classify(
     max_nodes: int = 300_000,
     cache_dir: str | None = None,
 ) -> Classification:
-    """Catalog, then miner, then the avoidance search; Unknown absorbs
-    budget exhaustion."""
+    """A witness, else the avoidance search; Unknown absorbs budget
+    exhaustion."""
     if n < 2 or m < 1:
         raise PreconditionError(f"need n >= 2 and m >= 1, got n={n}, m={m}")
     c %= n
@@ -302,97 +297,40 @@ def classify(
             return cached
 
     t0 = time.monotonic()
-
-    def finish(cls: Classification) -> Classification:
-        if path:
-            _save_cached(path, cls)
-        return cls
-
-    def elapsed_ms() -> int:
-        return int((time.monotonic() - t0) * 1000)
-
-    # 1. cataloged construction for (n, c) itself
-    w = catalog_witness(n, c, m)
-    if w is not None:
-        cert = verify_periodic(w, fam, m)
-        if cert.verdict == AVOIDING:
-            return finish(
-                Classification(
-                    n, c, m, NONVANISHING_PROVED, "catalog",
-                    witness=cert.period, certificate=cert, elapsed_ms=elapsed_ms(),
-                )
+    found = _witness(ctx, fam, m, p_max, t0 + 0.3 * budget_ms / 1000.0)
+    nodes = 0
+    if found is None:
+        # at m = 1 the graph of suffix-state sets decides either way or
+        # reports its own budget stop (each reachable set is some tree
+        # node's, so the DFS under the same node budget exhausts no cell
+        # the graph leaves open); the tree DFS at m >= 2
+        search_deadline = t0 + budget_ms / 1000.0
+        if m == 1:
+            sets = suffix_set_search(ctx, fam, cap, max_nodes=max_nodes, deadline=search_deadline)
+            outcome = sets.outcome
+            if sets.certificate is not None:
+                found, nodes = ("search", sets.certificate), sets.states
+        else:
+            outcome = longest_avoiding_word(
+                ctx, fam, m, cap, max_nodes=max_nodes, deadline=search_deadline
             )
-
-    # 2. mining: cataloged constructions for divisor moduli lift to Z_n
-    # (a window vanishing mod n vanishes mod every divisor), then necklace
-    # enumeration over growing divisor alphabets
-    miner_deadline = t0 + 0.3 * budget_ms / 1000.0
-    divisors = _divisors(n)
-    for d in reversed(divisors[:-1]):
-        wd = catalog_witness(d, c % d, m)
-        if wd is None:
-            continue
-        lifted = PeriodicWord(wd.period, n)
-        cert = verify_periodic(lifted, fam, m)
-        if cert.verdict == AVOIDING:
-            return finish(
-                Classification(
-                    n, c, m, NONVANISHING_PROVED, "miner",
-                    witness=cert.period, certificate=cert, elapsed_ms=elapsed_ms(),
-                )
-            )
-    for d in divisors:
-        res = mine_witness(
-            ctx, fam, m, p_max,
-            deadline=miner_deadline,
-            alphabet=range(d),
-            limit=1,
+    elapsed_ms = int((time.monotonic() - t0) * 1000)
+    if found is not None:
+        provenance, cert = found
+        cls = Classification(
+            n, c, m, NONVANISHING_PROVED, provenance, witness=cert.period,
+            certificate=cert, nodes_expanded=nodes, elapsed_ms=elapsed_ms,
         )
-        if res.witnesses:
-            pw, cert = res.witnesses[0]
-            return finish(
-                Classification(
-                    n, c, m, NONVANISHING_PROVED, "miner",
-                    witness=cert.period, certificate=cert, elapsed_ms=elapsed_ms(),
-                )
-            )
-        if time.monotonic() > miner_deadline:
-            break
-
-    # 3. avoidance search: at m = 1 the graph of suffix-state sets, which
-    # decides either way or reports its own budget stop (each reachable
-    # set is some tree node's, so the DFS under the same node budget
-    # exhausts no cell the graph leaves open); the tree DFS at m >= 2
-    search_deadline = t0 + budget_ms / 1000.0
-    if m == 1:
-        found = suffix_set_search(ctx, fam, cap, max_nodes=max_nodes, deadline=search_deadline)
-        if found.certificate is not None:
-            return finish(
-                Classification(
-                    n, c, m, NONVANISHING_PROVED, "search",
-                    witness=found.certificate.period, certificate=found.certificate,
-                    nodes_expanded=found.states, elapsed_ms=elapsed_ms(),
-                )
-            )
-        outcome = found.outcome
     else:
-        outcome = longest_avoiding_word(
-            ctx, fam, m, cap, max_nodes=max_nodes, deadline=search_deadline
+        exhausted = outcome.status == EXHAUSTED
+        cls = Classification(
+            n, c, m, VANISHING_PROVED if exhausted else UNKNOWN, "search" if exhausted else None,
+            threshold=outcome.threshold, outcome=outcome,
+            nodes_expanded=outcome.nodes_expanded, elapsed_ms=elapsed_ms,
         )
-    if outcome.status == EXHAUSTED:
-        return finish(
-            Classification(
-                n, c, m, VANISHING_PROVED, "search",
-                threshold=outcome.threshold, outcome=outcome,
-                nodes_expanded=outcome.nodes_expanded, elapsed_ms=elapsed_ms(),
-            )
-        )
-    return finish(
-        Classification(
-            n, c, m, UNKNOWN, None, outcome=outcome,
-            nodes_expanded=outcome.nodes_expanded, elapsed_ms=elapsed_ms(),
-        )
-    )
+    if path:
+        _save_cached(path, cls)
+    return cls
 
 
 @dataclass(frozen=True)
@@ -417,21 +355,15 @@ def is_contradiction(cls: Classification, expected: str | None) -> bool:
     return False
 
 
-def _cell_args(n_max, c_kinds, m_set):
+def _cell_args(n_max, m_set):
     for n in range(2, n_max + 1):
-        cs = []
-        for kind in c_kinds:
-            c = {"0": 0, "1": 1, "-1": n - 1}[kind] % n
-            if c not in cs:
-                cs.append(c)
-        for c in cs:
+        for c in dict.fromkeys((0, 1 % n, (n - 1) % n)):
             for m in m_set:
                 yield n, c, m
 
 
 def reproduce_table(
     n_max: int,
-    c_kinds=("0", "1", "-1"),
     m_set=(1, 2),
     budget_ms: int = 60_000,
     cap: int = 24,
@@ -447,7 +379,7 @@ def reproduce_table(
     jobs > 1, in a pool of jobs processes; either way each call reads and
     writes its own cell's cache entry, so both give the same report and
     leave the same cache."""
-    grid = list(_cell_args(n_max, c_kinds, m_set))
+    grid = list(_cell_args(n_max, m_set))
     args = [[cell[k] for cell in grid] for k in range(3)]  # the n, c and m columns
     args += [repeat(v) for v in (budget_ms, cap, p_max, max_nodes, cache_dir)]
     if jobs > 1:

@@ -70,12 +70,12 @@ def resolve_cache_dir(flag_value: str | None) -> str:
     return d
 
 
-def append_run_record(cache_dir: str, command: str, args: list[str], started: float,
-                      outcome: str, artifacts: list[str]) -> None:
+def append_run_record(cache_dir: str, args, outcome: str, artifacts: list[str]) -> None:
+    """Log one run: main stores its command line and start time on args."""
     rec = {
-        "command": command,
-        "arguments": args,
-        "started": started,
+        "command": args.command,
+        "arguments": args.arguments,
+        "started": args.started,
         "ended": time.time(),
         "outcome": outcome,
         "artifacts": artifacts,
@@ -99,7 +99,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    started = time.time()
     ctx = ModulusContext(args.n)
     fam = parse_family(args.family, ctx)
     pw = PeriodicWord(parse_symbols(args.period, ctx), ctx.n)
@@ -113,12 +112,11 @@ def cmd_verify(args) -> int:
         s, l = cert.counter_window
         print(f"counter_window: s={s} l={l}")
     print(f"certificate: {path}")
-    append_run_record(cache_dir, "verify", sys.argv[2:], started, cert.verdict, [path])
+    append_run_record(cache_dir, args, cert.verdict, [path])
     return EXIT_OK if cert.verdict == AVOIDING else EXIT_REFUTED
 
 
 def cmd_search(args) -> int:
-    started = time.time()
     ctx = ModulusContext(args.n)
     fam = parse_family(args.family, ctx)
     deadline = time.monotonic() + args.budget_ms / 1000.0 if args.budget_ms else None
@@ -131,12 +129,11 @@ def cmd_search(args) -> int:
     print("longest_word: " + ",".join(map(str, out.longest_word)))
     print(f"nodes_expanded: {out.nodes_expanded}")
     cache_dir = resolve_cache_dir(args.cache_dir)
-    append_run_record(cache_dir, "search", sys.argv[2:], started, out.status, [])
+    append_run_record(cache_dir, args, out.status, [])
     return EXIT_OK if out.status == EXHAUSTED else EXIT_BUDGET
 
 
 def cmd_mine(args) -> int:
-    started = time.time()
     ctx = ModulusContext(args.n)
     fam = parse_family(args.family, ctx)
     deadline = time.monotonic() + args.budget_ms / 1000.0 if args.budget_ms else None
@@ -156,15 +153,13 @@ def cmd_mine(args) -> int:
     print(f"candidates_checked: {res.candidates_checked}")
     print(f"verified: {res.verified}")
     print(f"enumeration_complete: {res.complete}")
-    append_run_record(cache_dir, "mine", sys.argv[2:], started,
-                      f"{len(res.witnesses)} witnesses", artifacts)
+    append_run_record(cache_dir, args, f"{len(res.witnesses)} witnesses", artifacts)
     if not res.complete and (args.limit is None or len(res.witnesses) < args.limit):
         return EXIT_BUDGET
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
-    started = time.time()
     cache_dir = resolve_cache_dir(args.cache_dir)
     cls = classify(
         args.n, args.c, args.m,
@@ -177,7 +172,7 @@ def cmd_classify(args) -> int:
     if cls.verdict == VANISHING_PROVED:
         print(f"threshold: {cls.threshold}")
     print(f"provenance: {cls.provenance}")
-    append_run_record(cache_dir, "classify", sys.argv[2:], started, cls.verdict, [])
+    append_run_record(cache_dir, args, cls.verdict, [])
     expected = expected_verdict(cls.n, cls.c, cls.m)
     if is_contradiction(cls, expected):
         print(f"contradiction: the known classification is {expected}", file=sys.stderr)
@@ -193,7 +188,6 @@ def cmd_xyr(args) -> int:
 
 
 def cmd_report(args) -> int:
-    started = time.time()
     cache_dir = resolve_cache_dir(args.cache_dir)
     report = reproduce_table(
         args.n_max,
@@ -217,8 +211,7 @@ def cmd_report(args) -> int:
                 },
                 fh, indent=1, sort_keys=True,
             )
-    append_run_record(cache_dir, "report", sys.argv[2:], started,
-                      f"{len(report.contradictions)} contradictions",
+    append_run_record(cache_dir, args, f"{len(report.contradictions)} contradictions",
                       list(report.reproducer_paths) + ([args.json_out] if args.json_out else []))
     return EXIT_CONTRADICTION if report.contradictions else EXIT_OK
 
@@ -314,8 +307,9 @@ def attach_word_literals(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(attach_word_literals(sys.argv[1:] if argv is None else argv))
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(attach_word_literals(argv))
+    args.arguments, args.started = argv[1:], time.time()  # what runs.jsonl records
     try:
         return args.func(args)
     except ContradictionError as e:

@@ -225,7 +225,7 @@ def test_criterion_6_property_suites():
 def test_criterion_7_reproduce_table(tmp_path):
     failures = []
     rep = reproduce_table(
-        18, c_kinds=("0", "1", "-1"), m_set=(1, 2),
+        18, m_set=(1, 2),
         budget_ms=60_000, cap=24, p_max=4, max_nodes=300_000,
         cache_dir=str(tmp_path),
     )

@@ -102,6 +102,25 @@ def test_classify_catalog_and_miner_examples(tmp_path):
     assert cls.witness == (2, 11)
 
 
+def test_classify_lifts_divisor_catalogs(monkeypatch):
+    # 7's catalog period lifts to Z_14 before the necklace miner runs
+    def no_mining(*args, **kwargs):
+        raise AssertionError("the miner ran")
+
+    monkeypatch.setattr(importlib.import_module("blockzero.classify"), "mine_witness", no_mining)
+    for m in (1, 2):
+        cls = classify(14, 1, m)
+        assert (cls.verdict, cls.provenance) == (NONVANISHING_PROVED, "miner")
+        assert cls.witness == (2, 3, 3, 3, 3)
+        assert recheck_certificate(cls.certificate)
+    # the cell's own catalog entry comes first, though 9's (7, 4, 4) lifts too
+    assert verify_periodic(PeriodicWord((7, 4, 4), 18), sum_plus_c_prod(ModulusContext(18), 1),
+                           1).verdict == AVOIDING
+    cls = classify(18, 1, 1)
+    assert (cls.verdict, cls.provenance) == (NONVANISHING_PROVED, "catalog")
+    assert PeriodicWord(cls.witness, 18) == catalog_witness(18, 1, 1)
+
+
 def test_classify_search_examples():
     cls = classify(2, 0, 1)
     assert cls.verdict == VANISHING_PROVED
@@ -210,7 +229,8 @@ def _cell_path(cache_dir, n, c, m):
 def test_unreadable_or_malformed_cache_file_is_a_miss(tmp_path):
     fresh = {**classify(5, 1, 1).to_dict(), "elapsed_ms": 0}
     path = _cell_path(tmp_path, 5, 1, 1)
-    for text in ('{"n": 5', '{"n": 5, "c": 1, "m": 1}'):
+    # truncated, missing fields, and a key Classification does not have
+    for text in ('{"n": 5', '{"n": 5, "c": 1, "m": 1}', json.dumps({**fresh, "stop": None})):
         with open(path, "w") as fh:
             fh.write(text)
         got = classify(5, 1, 1, cache_dir=str(tmp_path))
@@ -364,10 +384,10 @@ def test_reproduce_table_flags_contradictions(tmp_path, monkeypatch):
     import importlib
 
     mod = importlib.import_module("blockzero.classify")
-    monkeypatch.setattr(mod, "expected_verdict", lambda n, c, m: NONVANISHING)
-    report = mod.reproduce_table(
-        2, c_kinds=("0",), m_set=(1,), cache_dir=str(tmp_path)
-    )
+    # the grid's cells are (2, 0, 1) and (2, 1, 1); only c = 0 contradicts
+    monkeypatch.setattr(mod, "expected_verdict",
+                        lambda n, c, m: NONVANISHING if c == 0 else None)
+    report = mod.reproduce_table(2, m_set=(1,), cache_dir=str(tmp_path))
     assert len(report.contradictions) == 1
     assert (tmp_path / "contradiction_2_0_1.json").exists()
     assert "CONTRADICTS" in mod.render_table(report)
@@ -394,9 +414,19 @@ def test_render_table_says_what_stopped_each_unknown_cell():
 
 
 def test_classification_round_trip():
-    cls = classify(12, 1, 1)
-    again = Classification.from_dict(json.loads(json.dumps(cls.to_dict())))
-    assert again == cls
-    cls = classify(2, 0, 1)
-    again = Classification.from_dict(json.loads(json.dumps(cls.to_dict())))
-    assert again == cls
+    cells = [
+        classify(12, 1, 1),
+        classify(2, 0, 1),
+        classify(5, 1, 1, p_max=1),  # a set-search cycle
+        classify(7, 6, 1, max_nodes=40_000),  # the set-search budget stop
+        classify(7, 6, 2),  # the m = 2 cap stop
+    ]
+    assert (cells[2].provenance, cells[2].outcome, cells[2].nodes_expanded) == ("search", None, 20)
+    assert cells[3].verdict == cells[4].verdict == UNKNOWN
+    assert cells[3].outcome.budget_exhausted and not cells[4].outcome.budget_exhausted
+    for cls in cells:
+        record = json.dumps(cls.to_dict(), sort_keys=True)
+        again = Classification.from_dict(json.loads(record))
+        assert again == cls
+        assert json.dumps(again.to_dict(), sort_keys=True) == record
+

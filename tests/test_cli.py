@@ -126,6 +126,16 @@ def test_classify(capsys, cache):
     assert "witness: 1,3,5,3" in out
 
 
+def test_run_record_logs_the_arguments_main_was_given(capsys, tmp_path):
+    argv = ["--n", "5", "--c", "1", "--m", "1", "--cache-dir", str(tmp_path)]
+    code, _, _ = run(capsys, "classify", *argv)
+    assert code == EXIT_OK
+    (line,) = (tmp_path / "runs.jsonl").read_text().splitlines()
+    rec = json.loads(line)
+    assert (rec["command"], rec["arguments"]) == ("classify", argv)
+    assert rec["started"] <= rec["ended"]
+
+
 def test_classify_unknown_exits_budget(capsys, cache):
     code, out, _ = run(capsys, "classify", "--n", "6", "--c", "5", "--m", "1",
                        "--max-nodes", "1000")
