@@ -3,11 +3,16 @@
 The pipeline first looks for a witness: the cell's own cataloged
 construction, then the catalog constructions of the divisors of n lifted
 to Z_n (largest divisor first), then mined periodic witnesses (smallest
-divisor alphabets first).  Only without one does it run the avoidance
-search: the suffix-state-set graph alone at m = 1, and the avoidance-tree
-DFS at m >= 2.  Every returned proof object is independently
-re-checkable, and verdicts are compared against the known classification
-of these families; a verified disagreement is a hard error, not a result.
+divisor alphabets first).  For c = 0 it looks for none: a block of
+k = n / gcd(n, T) whole periods of a period with sum T has sum 0, so F_0
+has no periodic witness (zero-sum van der Waerden).  Only without a
+witness does it run the avoidance search.  At m = 1 that is the colouring
+search for c = 0 (a colour may occur only at one adjacent pair of prefix
+sums, so the threshold is 2n) and the suffix-state-set graph alone
+otherwise; at m >= 2 it is the avoidance-tree DFS for every c.  Every
+returned proof object is independently re-checkable, and verdicts are
+compared against the known classification of these families; a verified
+disagreement is a hard error, not a result.
 """
 
 from __future__ import annotations
@@ -26,13 +31,14 @@ from .search import (
     EXHAUSTED,
     SearchOutcome,
     build_xyr_witness,
+    colouring_search,
     longest_avoiding_word,
     mine_witness,
     suffix_set_search,
     xyr_solve,
 )
-from .verify import AVOIDING, Certificate, recheck_certificate, verify_periodic
-from .words import PeriodicWord
+from .verify import AVOIDING, Certificate, recheck_certificate, scan_word, verify_periodic
+from .words import PeriodicWord, Word
 
 VANISHING_PROVED = "vanishing_proved"
 NONVANISHING_PROVED = "nonvanishing_proved"
@@ -157,13 +163,15 @@ class Classification:
     @classmethod
     def from_dict(cls, d: dict) -> "Classification":
         """The record to_dict wrote; a missing field without a default, or
-        an unknown key, raises TypeError."""
+        an unknown key, raises TypeError.  An outcome's budget_exhausted is
+        read off its stop, not off the record."""
         d = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
         cert, out = d.get("certificate"), d.get("outcome")
         d["certificate"] = Certificate.from_dict(cert) if cert else None
-        d["outcome"] = (
-            SearchOutcome(**{**out, "longest_word": tuple(out["longest_word"])}) if out else None
-        )
+        if out:
+            out = {**out, "longest_word": tuple(out["longest_word"])}
+            out.pop("budget_exhausted", None)
+        d["outcome"] = SearchOutcome(**out) if out else None
         return cls(**d)
 
 
@@ -182,9 +190,11 @@ def _load_cached(path: str, n: int, fam: FunctionalFamily, m: int) -> Classifica
     An entry is served only if it is about the requested cell and its
     proof fits its verdict: a witness with a re-checked avoiding
     certificate for that cell, or an exhausted search whose threshold is
-    one past its longest word.  An UNKNOWN records only that one budget
-    ran out, so it is never served: a later call may have more.  An
-    unreadable or malformed file is a miss too."""
+    one past its longest word, a word over Z_n with no vanishing m-window
+    (scan_word); that no longer word avoids is not re-derived.  An UNKNOWN
+    records only that one budget ran out, so it is never served: a later
+    call may have more.  An unreadable or malformed file is a miss too,
+    and so is a record from before outcomes had a stop."""
     if not os.path.exists(path):
         return None
     try:
@@ -208,6 +218,8 @@ def _load_cached(path: str, n: int, fam: FunctionalFamily, m: int) -> Classifica
             out is not None
             and out.status == EXHAUSTED
             and cls.threshold == out.threshold == len(out.longest_word) + 1
+            and all(0 <= a < n for a in out.longest_word)
+            and not scan_word(Word(fam.ctx, out.longest_word), fam, m)
         )
     else:
         ok = False
@@ -254,7 +266,11 @@ def _witness(ctx: ModulusContext, fam: FunctionalFamily, m: int, p_max: int,
     lift to Z_n (a window vanishing mod n vanishes mod every divisor): d = n
     is the cell's own catalog entry ("catalog"), d < n a lift ("miner").
     Then necklace enumeration over growing divisor alphabets ("miner"),
-    until the deadline."""
+    until the deadline.  F_0 has no witness, so nothing is tried there: a
+    block of k whole periods of a period with sum T has value k*T, which
+    is 0 for every multiple k of n / gcd(n, T)."""
+    if fam.c == 0:
+        return None
     n = ctx.n
     divisors = _divisors(n)
     for d in reversed(divisors):
@@ -300,12 +316,15 @@ def classify(
     found = _witness(ctx, fam, m, p_max, t0 + 0.3 * budget_ms / 1000.0)
     nodes = 0
     if found is None:
-        # at m = 1 the graph of suffix-state sets decides either way or
-        # reports its own budget stop (each reachable set is some tree
-        # node's, so the DFS under the same node budget exhausts no cell
-        # the graph leaves open); the tree DFS at m >= 2
+        # at m = 1 F_0 is a van der Waerden colouring, and otherwise the
+        # graph of suffix-state sets decides either way or reports its own
+        # budget stop (each reachable set is some tree node's, so the DFS
+        # under the same node budget exhausts no cell the graph leaves
+        # open); the tree DFS at m >= 2
         search_deadline = t0 + budget_ms / 1000.0
-        if m == 1:
+        if m == 1 and c == 0:
+            outcome = colouring_search(ctx, m, cap, max_nodes=max_nodes, deadline=search_deadline)
+        elif m == 1:
             sets = suffix_set_search(ctx, fam, cap, max_nodes=max_nodes, deadline=search_deadline)
             outcome = sets.outcome
             if sets.certificate is not None:
@@ -424,12 +443,14 @@ def render_table(report: TableReport) -> str:
             detail = "witness " + ",".join(map(str, cls.witness))
         elif cls.verdict == VANISHING_PROVED:
             detail = f"threshold {cls.threshold}"
-        elif cls.outcome.budget_exhausted:
-            # at m = 1 the search counts suffix-state sets, not tree nodes
-            unit = "set" if cls.m == 1 else "node"
-            detail = f"{unit}/time budget after {cls.outcome.nodes_expanded} {unit}s"
         else:
-            detail = f"cap reached at length {cls.outcome.cap}"
+            out = cls.outcome
+            detail = {
+                "cap": f"cap reached at length {out.cap}",
+                "nodes": f"node budget after {out.nodes_expanded} nodes",
+                "sets": f"set budget after {out.nodes_expanded} sets",
+                "deadline": f"time budget after {out.nodes_expanded} nodes or sets",
+            }[out.stop]
         if cell.contradiction:
             detail += "  ** CONTRADICTS KNOWN CLASSIFICATION **"
         lines.append(

@@ -14,13 +14,19 @@ diagonal of the block lengths whose m - 1 earlier blocks vanish, so it
 finds all of its forbidden children with one read and an OR per column
 instead of scanning windows.  At m = 1 suffix_set_search folds the tree into a
 graph on the sets of suffix states and decides either way: a cycle is a
-periodic witness, and an exhausted graph gives the exact threshold.
+periodic witness, and an exhausted graph gives the exact threshold.  For
+F_0 (the plain block sum) at m = 1, colouring_search searches the prefix
+sums as a van der Waerden colouring instead, one restricted-growth colour
+string per class of words that differ by a permutation of the colours: a
+colour may occur only at one adjacent pair of positions, so it takes 2n
+nodes and gives threshold 2n, where the set graph takes 2^n sets.  Every
+outcome names its stop.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import getitem, or_
 
@@ -39,12 +45,21 @@ class InternalInvariantError(AssertionError):
 
 @dataclass(frozen=True)
 class SearchOutcome:
+    """What a search settled.  stop says why it ended: "exhausted" (the
+    threshold is exact), "cap" (a word reached the cap), or the budget
+    that ran out: "nodes", "sets" (suffix_set_search's count) or
+    "deadline".  budget_exhausted is read off stop."""
+
     status: str  # EXHAUSTED | CAP_REACHED
     threshold: int | None
     longest_word: tuple[int, ...]
     nodes_expanded: int
     cap: int
-    budget_exhausted: bool = False
+    stop: str
+    budget_exhausted: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "budget_exhausted", self.stop in ("nodes", "sets", "deadline"))
 
 
 class _StateTable:
@@ -138,9 +153,8 @@ def longest_avoiding_word(
             and (nodes == 1 or nodes % 2048 == 0)
             and time.monotonic() > deadline
         ):
-            return SearchOutcome(
-                CAP_REACHED, None, best_word, nodes, best, budget_exhausted=L < cap
-            )
+            stop = "cap" if L >= cap else "nodes" if nodes >= limit else "deadline"
+            return SearchOutcome(CAP_REACHED, None, best_word, nodes, best, stop)
         # each column shifted to the lengths of the child's blocks
         E, forbidden, shifted = ends[L + 1], 0, []
         for i, col in cols.items():
@@ -151,7 +165,7 @@ def longest_avoiding_word(
         todo = iter([a for a in range(n) if not forbidden >> a & 1])
         while (a := next(todo, None)) is None:
             if not stack:
-                return SearchOutcome(EXHAUSTED, best + 1, best_word, nodes, cap)
+                return SearchOutcome(EXHAUSTED, best + 1, best_word, nodes, cap, EXHAUSTED)
             toggle(len(word))
             fed.pop()
             word.pop()
@@ -213,9 +227,9 @@ def suffix_set_search(
     byte of its mask.  Each set entered counts against max_nodes; the cap
     does not apply, since a proof does not depend on depth, and is only
     recorded in an exhausted outcome.  A budget stop is a CAP_REACHED
-    outcome with budget_exhausted set, the sets entered as its node count,
-    and the first longest word the search walked, whose length stands in
-    for the cap.
+    outcome with stop "sets" or "deadline", the sets entered as its node
+    count, and the first longest word the search walked, whose length
+    stands in for the cap.
     """
     if cap < 2:
         raise PreconditionError(f"cap must be >= 2, got {cap}")
@@ -271,8 +285,10 @@ def suffix_set_search(
     # the deadline is read at the root and then every 64 sets, so a search
     # that starts after its deadline does no work and one that runs past
     # it overshoots by well under a millisecond
-    stopped = limit <= 1 or (deadline is not None and time.monotonic() > deadline)
-    while not stopped:
+    stop = None
+    if limit <= 1 or (deadline is not None and time.monotonic() > deadline):
+        stop = "sets" if limit <= 1 else "deadline"
+    while stop is None:
         for a, child in todo:
             if child in path:
                 period = tuple(word[path[child]:]) + (a,)
@@ -292,11 +308,12 @@ def suffix_set_search(
                 if len(word) > len(deepest):
                     deepest = tuple(word)
                 states = len(longest)
-                stopped = states >= limit or (
+                if states >= limit or (
                     deadline is not None
                     and states % 64 == 0
                     and time.monotonic() > deadline
-                )
+                ):
+                    stop = "sets" if states >= limit else "deadline"
                 break
             if done >= best:
                 best = done + 1
@@ -310,10 +327,8 @@ def suffix_set_search(
             S, todo, best = stack.pop()
             if done >= best:
                 best = done + 1
-    if stopped:
-        outcome = SearchOutcome(
-            CAP_REACHED, None, deepest, len(longest), len(deepest), budget_exhausted=True
-        )
+    if stop is not None:
+        outcome = SearchOutcome(CAP_REACHED, None, deepest, len(longest), len(deepest), stop)
     else:
         # the lexicographically first longest word: the smallest symbol
         # whose child keeps the maximum, from the root down
@@ -321,8 +336,84 @@ def suffix_set_search(
         while longest[S]:
             a, S = next((a, ch) for a, ch in children(S) if longest[ch] == longest[S] - 1)
             best_word.append(a)
-        outcome = SearchOutcome(EXHAUSTED, longest[0] + 1, tuple(best_word), len(longest), cap)
+        outcome = SearchOutcome(
+            EXHAUSTED, longest[0] + 1, tuple(best_word), len(longest), cap, EXHAUSTED
+        )
     return SuffixSetResult(len(longest), outcome=outcome)
+
+
+def colouring_search(
+    ctx: ModulusContext,
+    m: int,
+    cap: int,
+    max_nodes: int | None = None,
+    deadline: float | None = None,
+) -> SearchOutcome:
+    """Decide F_0 (the plain block sum) over Z_n at m = 1 as a van der
+    Waerden colouring.
+
+    With prefix sums S_0 = 0 and S_i = a_1 + ... + a_i, the block of
+    length l at s vanishes iff S_s = S_{s+l}.  So a word of length L avoids
+    iff no colour of the colouring i -> S_i of 0..L takes two positions at
+    distance >= 2, and that depends only on which positions share a colour.
+    The DFS therefore walks restricted-growth colour strings: position 0
+    has colour 0 and a new colour is always the smallest unused one, one
+    string for the (n - 1)! / (n - k)! words with the same k-colour
+    pattern.  The longest colouring is read back as the word
+    a_i = c_i - c_{i-1} (a colour is a residue), so threshold and
+    longest_word mean what they mean for longest_avoiding_word.
+
+    A colour may occur only at one adjacent pair of positions, so a child
+    either repeats the last colour, if it does not repeat already, or
+    takes a new one, and a node's subtree depends only on its key (colours
+    used, whether the last colour repeats).  Repeating is tried first, so
+    the first node with a key is its deepest, and a child whose key was
+    reached by its turn is skipped: the search has 2n nodes and threshold
+    2n.  The cap does not apply, since a proof does not depend on depth,
+    and is only recorded in an exhausted outcome, as in suffix_set_search.
+    The stack is explicit; the deadline is read at the root and then every
+    2,048 nodes.  At m >= 2 F_0 stays on longest_avoiding_word.
+    """
+    if cap < 2:
+        raise PreconditionError(f"cap must be >= 2, got {cap}")
+    if m != 1:
+        raise PreconditionError(f"the colouring search decides m = 1 only, got m = {m}")
+    n = ctx.n
+    colours = [0]  # c_0 .. c_L: the colour of S_0 = 0 is 0, the last is the largest
+    seen = {(1, False)}  # the keys reached
+
+    def word(cols) -> tuple[int, ...]:
+        return tuple((b - a) % n for a, b in zip(cols, cols[1:]))
+
+    stack: list = []  # the remaining children of each parent
+    limit = max_nodes if max_nodes is not None else float("inf")
+    best, best_colours, nodes = 0, (0,), 0
+    while True:
+        nodes += 1
+        L = len(colours) - 1
+        if L > best:
+            best, best_colours = L, tuple(colours)
+        if nodes >= limit or (
+            deadline is not None
+            and (nodes == 1 or nodes % 2048 == 0)
+            and time.monotonic() > deadline
+        ):
+            stop = "nodes" if nodes >= limit else "deadline"
+            return SearchOutcome(CAP_REACHED, None, word(best_colours), nodes, best, stop)
+        last = colours[-1]
+        kids = [(last, (last + 1, True))] if L == 0 or colours[-2] != last else []
+        if last + 1 < n:
+            kids.append((last + 1, (last + 2, False)))
+        todo = (c for c, key in kids if key not in seen and not seen.add(key))
+        while (c := next(todo, None)) is None:
+            if not stack:
+                return SearchOutcome(
+                    EXHAUSTED, best + 1, word(best_colours), nodes, cap, EXHAUSTED
+                )
+            colours.pop()
+            todo = stack.pop()
+        stack.append(todo)
+        colours.append(c)
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,8 @@ from blockzero.classify import (
 from blockzero.families import sum_plus_c_prod
 from blockzero.ring import ModulusContext, PreconditionError
 from blockzero.search import CAP_REACHED, SearchOutcome
-from blockzero.verify import AVOIDING, recheck_certificate, verify_periodic
-from blockzero.words import PeriodicWord
+from blockzero.verify import AVOIDING, recheck_certificate, scan_word, verify_periodic
+from blockzero.words import PeriodicWord, Word
 
 
 def test_catalog_witness_examples():
@@ -135,17 +135,40 @@ def test_classify_search_examples():
 
 
 def test_classify_m1_uses_the_suffix_set_graph():
-    # F_0 mod 7 is decided on the graph of suffix-state sets, far inside
-    # the 40,000-node budget the tree DFS ran out of
-    cls = classify(7, 0, 1, max_nodes=40_000)
-    assert (cls.verdict, cls.provenance, cls.threshold) == (VANISHING_PROVED, "search", 14)
-    assert cls.nodes_expanded == cls.outcome.nodes_expanded == 128
+    # F_{-1} mod 5 is decided on the graph of suffix-state sets, far inside
+    # a 40,000-node budget
+    cls = classify(5, 4, 1, max_nodes=40_000)
+    assert (cls.verdict, cls.provenance, cls.threshold) == (VANISHING_PROVED, "search", 13)
+    assert cls.nodes_expanded == cls.outcome.nodes_expanded == 1_240
     # with the miner held to constant periods, a cycle of the graph is the
     # witness, and it carries its certificate
     cls = classify(5, 1, 1, p_max=1)
     assert (cls.verdict, cls.provenance, cls.witness) == (NONVANISHING_PROVED, "search", (2, 3))
     assert cls.certificate.period == cls.witness and recheck_certificate(cls.certificate)
     assert cls.nodes_expanded == 20
+
+
+def test_classify_decides_f0_without_a_witness_stage(monkeypatch):
+    # F_0 has no witness, so no witness stage runs: at m = 1 only the
+    # colouring search, in 2n nodes (the set graph took 2^n sets, 128 at
+    # n = 7), and at m = 2 only the tree DFS, which reaches the cap after
+    # 25 nodes
+    classify_mod = importlib.import_module("blockzero.classify")
+    dfs = classify_mod.longest_avoiding_word
+
+    def not_for_f0(*args, **kwargs):
+        raise AssertionError("a stage other than the cell's search ran")
+
+    for name in ("mine_witness", "suffix_set_search", "longest_avoiding_word",
+                 "verify_periodic", "catalog_witness"):
+        monkeypatch.setattr(classify_mod, name, not_for_f0)
+    for n in range(2, 25):
+        cls = classify(n, 0, 1)
+        assert (cls.verdict, cls.provenance, cls.threshold) == (VANISHING_PROVED, "search", 2 * n)
+        assert cls.nodes_expanded == cls.outcome.nodes_expanded == 2 * n
+    monkeypatch.setattr(classify_mod, "longest_avoiding_word", dfs)
+    cls = classify(7, 0, 2)
+    assert (cls.verdict, cls.outcome.stop, cls.nodes_expanded) == (UNKNOWN, "cap", 25)
 
 
 def test_classify_m1_reports_the_set_search_budget_stop(monkeypatch):
@@ -160,7 +183,8 @@ def test_classify_m1_reports_the_set_search_budget_stop(monkeypatch):
     cls = classify(7, 6, 1, max_nodes=40_000)
     assert cls.verdict == UNKNOWN and cls.provenance is None
     out = cls.outcome
-    assert (out.status, out.threshold, out.budget_exhausted) == (CAP_REACHED, None, True)
+    assert (out.status, out.threshold, out.stop, out.budget_exhausted) == (
+        CAP_REACHED, None, "sets", True)
     assert cls.nodes_expanded == out.nodes_expanded == 40_000
     assert out.cap == len(out.longest_word) == 21
 
@@ -265,6 +289,7 @@ def test_cache_entry_must_match_its_cell_and_proof(tmp_path):
         ((4, 1, 1), {**van, "outcome": {**van["outcome"], "threshold": 9}}),
         ((4, 1, 1), {**van, "outcome": {**van["outcome"], "status": CAP_REACHED}}),
         ((4, 1, 1), {**van, "outcome": None}),
+        ((4, 1, 1), {**van, "outcome": {k: v for k, v in van["outcome"].items() if k != "stop"}}),
     ]
     for cell, d in edits:
         path = _cell_path(tmp_path, *cell)
@@ -279,6 +304,25 @@ def test_cache_entry_must_match_its_cell_and_proof(tmp_path):
     with open(path, "w") as fh:
         json.dump({**van, "elapsed_ms": 987_654}, fh)
     assert classify(4, 1, 1, cache_dir=str(tmp_path)).elapsed_ms == 987_654
+
+
+def test_cached_longest_word_must_avoid_over_z_n(tmp_path):
+    # a cached vanishing verdict whose longest word has a vanishing window,
+    # or a symbol outside Z_n, is recomputed, though its threshold still
+    # fits the word's length
+    fresh = classify(3, 1, 1, cache_dir=str(tmp_path)).to_dict()
+    word = fresh["outcome"]["longest_word"]
+    assert word == [0, 1, 0, 1, 0]
+    ctx = ModulusContext(3)
+    fam = sum_plus_c_prod(ctx, 1)
+    assert scan_word(Word(ctx, [2] + word[1:]), fam, 1)  # (2, 1, 0) sums to 0
+    path = _cell_path(tmp_path, 3, 1, 1)
+    for bad in ([2] + word[1:], [3] + word[1:]):
+        with open(path, "w") as fh:
+            json.dump({**fresh, "outcome": {**fresh["outcome"], "longest_word": bad},
+                       "elapsed_ms": 987_654}, fh)
+        got = classify(3, 1, 1, cache_dir=str(tmp_path))
+        assert got.elapsed_ms != 987_654 and got.outcome.longest_word == tuple(word), bad
 
 
 def test_classify_preconditions():
@@ -400,17 +444,19 @@ def test_render_table_says_what_stopped_each_unknown_cell():
     report = TableReport((
         cell(NONVANISHING_PROVED, witness=(2, 3)),
         cell(VANISHING_PROVED, threshold=14),
-        cell(UNKNOWN, outcome=SearchOutcome(CAP_REACHED, None, (0,) * 24, 25, 24)),
-        cell(UNKNOWN, outcome=SearchOutcome(CAP_REACHED, None, (0,) * 13, 1000, 13, True)),
-        # at m = 1 the set search's budget counts suffix-state sets
-        cell(UNKNOWN, m=1, outcome=SearchOutcome(CAP_REACHED, None, (0,) * 9, 40000, 9, True)),
+        cell(UNKNOWN, outcome=SearchOutcome(CAP_REACHED, None, (0,) * 24, 25, 24, "cap")),
+        cell(UNKNOWN, outcome=SearchOutcome(CAP_REACHED, None, (0,) * 13, 1000, 13, "nodes")),
+        # the set search's budget counts suffix-state sets
+        cell(UNKNOWN, m=1, outcome=SearchOutcome(CAP_REACHED, None, (0,) * 9, 40000, 9, "sets")),
+        cell(UNKNOWN, outcome=SearchOutcome(CAP_REACHED, None, (0,) * 5, 2048, 5, "deadline")),
     ), ())
     lines = render_table(report).splitlines()
     assert lines[2].endswith("witness 2,3")
     assert lines[3].endswith("threshold 14")
     assert lines[4].endswith("cap reached at length 24")
-    assert lines[5].endswith("node/time budget after 1000 nodes")
-    assert lines[6].endswith("set/time budget after 40000 sets")
+    assert lines[5].endswith("node budget after 1000 nodes")
+    assert lines[6].endswith("set budget after 40000 sets")
+    assert lines[7].endswith("time budget after 2048 nodes or sets")
 
 
 def test_classification_round_trip():

@@ -19,13 +19,14 @@ from blockzero.search import (
     SearchOutcome,
     _necklaces,
     build_xyr_witness,
+    colouring_search,
     longest_avoiding_word,
     mine_witness,
     suffix_set_search,
     xyr_solve,
 )
-from blockzero.verify import AVOIDING, REFUTED, recheck_certificate, verify_periodic
-from blockzero.words import PeriodicWord, min_rotation
+from blockzero.verify import AVOIDING, REFUTED, recheck_certificate, scan_word, verify_periodic
+from blockzero.words import PeriodicWord, Word, min_rotation
 
 from oracles import (
     Lcg,
@@ -108,7 +109,7 @@ def test_budget_exhaustion_is_flagged():
     # the deadline is read at the root and then every 2,048 nodes, so a
     # search that starts after its deadline does no work
     out = search(3, 1, 2, cap=64, deadline=time.monotonic() - 1)
-    assert out == SearchOutcome(CAP_REACHED, None, (), 1, 0, budget_exhausted=True)
+    assert out == SearchOutcome(CAP_REACHED, None, (), 1, 0, "deadline")
 
 
 def test_cap_below_two_rejected():
@@ -348,42 +349,43 @@ def digits(s):
 # cap 24, or (n, c, m, cap, max_nodes).
 PINNED_OUTCOMES = [
     ((6, 1, None), SearchOutcome(
-        EXHAUSTED, 18, (0, 1, 0, 3, 1, 4, 1, 1, 4, 1, 4, 1, 1, 4, 2, 5, 2), 23_392, 24)),
+        EXHAUSTED, 18, (0, 1, 0, 3, 1, 4, 1, 1, 4, 1, 4, 1, 1, 4, 2, 5, 2), 23_392, 24,
+        "exhausted")),
     ((6, 0, None), SearchOutcome(
-        EXHAUSTED, 12, (0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0), 12_662, 24)),
+        EXHAUSTED, 12, (0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0), 12_662, 24, "exhausted")),
     ((6, 5, 40_000), SearchOutcome(
         CAP_REACHED, None,
         (1, 4, 1, 1, 5, 1, 4, 2, 5, 3, 5, 2, 4, 1, 5, 1, 1, 4, 1), 40_000, 19,
-        budget_exhausted=True)),
+        "nodes")),
     ((7, 6, None), SearchOutcome(
         CAP_REACHED, None,
         (0, 1, 0, 1, 2, 5, 2, 5, 2, 5, 2, 1, 0, 1, 4, 3, 4, 3, 4, 3, 4, 3, 4, 3),
-        6_181, 24)),
+        6_181, 24, "cap")),
     ((3, 1, 2, 200, 20_000), SearchOutcome(
         CAP_REACHED, None,
         digits("00010002000200210020002000200010002"),
-        20_000, 35, budget_exhausted=True)),
+        20_000, 35, "nodes")),
     ((4, 3, 2, 200, 20_000), SearchOutcome(
         CAP_REACHED, None,
         digits(
             "000100010001000100010001000100021000100010001003010023100100"
             "1310001000"
         ),
-        20_000, 70, budget_exhausted=True)),
+        20_000, 70, "nodes")),
     ((5, 4, 2, 200, 20_000), SearchOutcome(
         CAP_REACHED, None,
         digits(
             "000100010001000100010001000100010001000210001000100010001000"
             "10001000100010001310001000"
         ),
-        20_000, 86, budget_exhausted=True)),
+        20_000, 86, "nodes")),
     ((3, 1, 3, 200, 20_000), SearchOutcome(
         CAP_REACHED, None,
         digits(
             "000001000001000001000001000001000001000001000001000002000100"
             "0010000012001000001010001000001000120020000100000100021000"
         ),
-        20_000, 118, budget_exhausted=True)),
+        20_000, 118, "nodes")),
 ]
 
 
@@ -488,7 +490,7 @@ def assert_same_as_dfs(ctx, fam, found):
     assert dfs.status == EXHAUSTED
     assert found.certificate is None
     assert found.outcome == SearchOutcome(
-        EXHAUSTED, dfs.threshold, dfs.longest_word, found.states, 24
+        EXHAUSTED, dfs.threshold, dfs.longest_word, found.states, 24, "exhausted"
     )
 
 
@@ -588,16 +590,57 @@ def test_suffix_set_search_budgets():
     assert (out.states, out.certificate) == (1000, None)
     assert out.outcome == SearchOutcome(
         CAP_REACHED, None, (0, 1, 0, 1, 0, 2, 0, 1, 0, 1, 4, 3, 4, 3, 4, 3, 4, 3, 4, 3),
-        1000, 20, budget_exhausted=True,
+        1000, 20, "sets",
     )
     assert_avoids(ctx, sum_plus_c_prod(ctx, 6), 1, out.outcome.longest_word)
     # the deadline is read at the root and then every 64 sets
     out = set_search(7, 6, deadline=time.monotonic() - 1)
     assert (out.states, out.certificate) == (1, None)
-    assert out.outcome == SearchOutcome(CAP_REACHED, None, (), 1, 0, budget_exhausted=True)
+    assert out.outcome == SearchOutcome(CAP_REACHED, None, (), 1, 0, "deadline")
     out = set_search(7, 6, deadline=time.monotonic() + 0.05)
     assert out.states == 1 or out.states % 64 == 0
-    assert out.certificate is None and out.outcome.budget_exhausted
+    assert out.certificate is None and out.outcome.stop == "deadline"
     assert out.outcome.nodes_expanded == out.states
     with pytest.raises(PreconditionError):
         set_search(2, 0, cap=1)
+
+
+def colouring(n, m, cap=64, **kw):
+    """The colouring search on F_0 over Z_n; its longest word must avoid."""
+    ctx = ModulusContext(n)
+    out = colouring_search(ctx, m, cap, **kw)
+    fam = sum_plus_c_prod(ctx, 0)
+    assert scan_word(Word(ctx, out.longest_word), fam, m) == []
+    assert_avoids(ctx, fam, m, out.longest_word)
+    if out.status == EXHAUSTED:
+        assert len(out.longest_word) == out.threshold - 1
+    return out
+
+
+def test_colouring_search_at_m1_is_2n():
+    # a colour may occur only at one adjacent pair of positions, so 2n
+    # prefix sums avoid and 2n + 1 do not; the memo on (colours used,
+    # whether the last one repeats) keeps the search at 2n nodes, where
+    # the tree DFS takes 6 at n = 2 and the set graph 2^n sets
+    ctx = ModulusContext(2)
+    assert longest_avoiding_word(ctx, sum_plus_c_prod(ctx, 0), 1, 24).threshold == 4
+    for n in range(2, 25):
+        out = colouring(n, 1, cap=24)
+        assert (out.status, out.stop, out.threshold, out.nodes_expanded) == (
+            EXHAUSTED, "exhausted", 2 * n, 2 * n)
+        if n <= 10:
+            assert set_search(n, 0).outcome.threshold == out.threshold
+
+
+def test_colouring_search_budgets():
+    out = colouring(5, 1, max_nodes=3)
+    assert (out.status, out.stop, out.budget_exhausted) == (CAP_REACHED, "nodes", True)
+    assert out.nodes_expanded == 3 and len(out.longest_word) == out.cap == 2
+    # a search that starts after its deadline does no work
+    out = colouring(5, 1, deadline=time.monotonic() - 1)
+    assert out == SearchOutcome(CAP_REACHED, None, (), 1, 0, "deadline")
+    with pytest.raises(PreconditionError):
+        colouring(3, 1, cap=1)
+    # at m >= 2 F_0 stays on the tree DFS
+    with pytest.raises(PreconditionError):
+        colouring(3, 2)
