@@ -54,7 +54,7 @@ from .verify import (
     scan_word,
     verify_periodic,
 )
-from .words import PeriodicWord, Word, parse_symbols
+from .words import PeriodicWord, parse_symbols
 
 __all__ = [
     "AVOIDING",
@@ -68,7 +68,6 @@ __all__ = [
     "REFUTED",
     "SearchOutcome",
     "Window",
-    "Word",
     "XYRSolution",
     "build_xyr_witness",
     "catalog_witness",

@@ -38,7 +38,7 @@ from .search import (
     xyr_solve,
 )
 from .verify import AVOIDING, Certificate, recheck_certificate, scan_word, verify_periodic
-from .words import PeriodicWord, Word
+from .words import PeriodicWord
 
 VANISHING_PROVED = "vanishing_proved"
 NONVANISHING_PROVED = "nonvanishing_proved"
@@ -154,24 +154,19 @@ class Classification:
 
     def to_dict(self) -> dict:
         d = {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
-        if self.certificate is not None:
-            d["certificate"] = self.certificate.to_dict()
-        if self.outcome is not None:
-            d["outcome"] = {**vars(self.outcome), "longest_word": list(self.outcome.longest_word)}
+        d["certificate"] = self.certificate.to_dict() if self.certificate else None
+        d["outcome"] = self.outcome.to_dict() if self.outcome else None
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "Classification":
         """The record to_dict wrote; a missing field without a default, or
-        an unknown key, raises TypeError.  An outcome's budget_exhausted is
-        read off its stop, not off the record."""
+        an unknown key, raises TypeError, and a malformed certificate or
+        outcome raises what its own from_dict raises."""
         d = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
         cert, out = d.get("certificate"), d.get("outcome")
         d["certificate"] = Certificate.from_dict(cert) if cert else None
-        if out:
-            out = {**out, "longest_word": tuple(out["longest_word"])}
-            out.pop("budget_exhausted", None)
-        d["outcome"] = SearchOutcome(**out) if out else None
+        d["outcome"] = SearchOutcome.from_dict(out) if out else None
         return cls(**d)
 
 
@@ -193,8 +188,9 @@ def _load_cached(path: str, n: int, fam: FunctionalFamily, m: int) -> Classifica
     one past its longest word, a word over Z_n with no vanishing m-window
     (scan_word); that no longer word avoids is not re-derived.  An UNKNOWN
     records only that one budget ran out, so it is never served: a later
-    call may have more.  An unreadable or malformed file is a miss too,
-    and so is a record from before outcomes had a stop."""
+    call may have more.  An unreadable or malformed file is a miss too:
+    a record from before outcomes had a stop, or an outcome whose status
+    or budget_exhausted disagrees with its stop."""
     if not os.path.exists(path):
         return None
     try:
@@ -216,10 +212,10 @@ def _load_cached(path: str, n: int, fam: FunctionalFamily, m: int) -> Classifica
         out = cls.outcome
         ok = (
             out is not None
-            and out.status == EXHAUSTED
+            and out.stop == EXHAUSTED
             and cls.threshold == out.threshold == len(out.longest_word) + 1
             and all(0 <= a < n for a in out.longest_word)
-            and not scan_word(Word(fam.ctx, out.longest_word), fam, m)
+            and not scan_word(out.longest_word, fam, m)
         )
     else:
         ok = False
@@ -341,7 +337,7 @@ def classify(
             certificate=cert, nodes_expanded=nodes, elapsed_ms=elapsed_ms,
         )
     else:
-        exhausted = outcome.status == EXHAUSTED
+        exhausted = outcome.stop == EXHAUSTED
         cls = Classification(
             n, c, m, VANISHING_PROVED if exhausted else UNKNOWN, "search" if exhausted else None,
             threshold=outcome.threshold, outcome=outcome,

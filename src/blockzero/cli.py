@@ -23,11 +23,12 @@ from .classify import (
     reproduce_table,
 )
 from .families import (
+    ELEMENTARY_SYMMETRIC,
+    POWER_SUMS,
+    SUM_PLUS_C_PROD,
+    TRANSFORMATION_SUMS,
     FunctionalFamily,
-    elementary_symmetric_family,
-    power_sums,
-    sum_plus_c_prod,
-    transformation_sums,
+    family_from_descriptor,
 )
 from .ring import ModulusContext, PreconditionError
 from .search import EXHAUSTED, longest_avoiding_word, mine_witness, xyr_solve
@@ -42,26 +43,26 @@ EXIT_CONTRADICTION = 5
 
 CACHE_ENV = "BLOCKZERO_CACHE_DIR"
 
+# the descriptor key that each family kind's :param fills
+_FAMILY_PARAMS = {SUM_PLUS_C_PROD: "c", POWER_SUMS: "r", ELEMENTARY_SYMMETRIC: "r",
+                  TRANSFORMATION_SUMS: "tables"}
+
 
 def parse_family(spec: str, ctx: ModulusContext) -> FunctionalFamily:
-    """Parse the kind:param mini-syntax used on the command line."""
+    """Parse the kind:param mini-syntax used on the command line into a
+    family descriptor (tables are JSON, or @file for JSON in a file)."""
     kind, sep, param = spec.partition(":")
-    if kind == "sum_plus_c_prod":
-        if not sep:
-            raise PreconditionError("sum_plus_c_prod needs :c")
-        return sum_plus_c_prod(ctx, int(param))
-    if kind == "power_sums":
-        return power_sums(ctx, int(param))
-    if kind == "elementary_symmetric":
-        return elementary_symmetric_family(ctx, int(param))
-    if kind == "transformation_sums":
+    key = _FAMILY_PARAMS.get(kind)
+    if key is None:
+        raise PreconditionError(f"unknown family {spec!r}")
+    if kind == SUM_PLUS_C_PROD and not sep:
+        raise PreconditionError("sum_plus_c_prod needs :c")
+    if kind == TRANSFORMATION_SUMS:
         if param.startswith("@"):
             with open(param[1:]) as fh:
-                tables = json.load(fh)
-        else:
-            tables = json.loads(param)
-        return transformation_sums(ctx, tables)
-    raise PreconditionError(f"unknown family {spec!r}")
+                param = fh.read()
+        param = json.loads(param)
+    return family_from_descriptor(ctx, {"kind": kind, key: param})
 
 
 def resolve_cache_dir(flag_value: str | None) -> str:
@@ -124,6 +125,7 @@ def cmd_search(args) -> int:
         ctx, fam, args.m, args.cap, max_nodes=args.max_nodes, deadline=deadline
     )
     print(f"status: {out.status}")
+    print(f"stop: {out.stop}")
     if out.status == EXHAUSTED:
         print(f"threshold: {out.threshold}")
     print("longest_word: " + ",".join(map(str, out.longest_word)))
@@ -172,6 +174,8 @@ def cmd_classify(args) -> int:
     if cls.verdict == VANISHING_PROVED:
         print(f"threshold: {cls.threshold}")
     print(f"provenance: {cls.provenance}")
+    if cls.verdict == UNKNOWN:
+        print(f"stop: {cls.outcome.stop}")
     append_run_record(cache_dir, args, cls.verdict, [])
     expected = expected_verdict(cls.n, cls.c, cls.m)
     if is_contradiction(cls, expected):

@@ -5,7 +5,7 @@ The avoidance tree of words with no vanishing m-window is finite exactly
 when the family is m-vanishing, so an exhausted DFS is a proof and its
 maximal depth plus one is the exact threshold.  The DFS works on the
 family's block states (the vector hook FunctionalFamily.block_states/
-extend_all/vanishing_mask), not on a Word: every distinct state is
+extend_all/vanishing_mask), not on the word: every distinct state is
 expanded once, by one extend_all call, into its n successors, whose
 vanishing_mask is the set of symbols whose extension vanishes.  One
 kernel serves every m: a node keeps, per distinct suffix state, the
@@ -48,9 +48,10 @@ class SearchOutcome:
     """What a search settled.  stop says why it ended: "exhausted" (the
     threshold is exact), "cap" (a word reached the cap), or the budget
     that ran out: "nodes", "sets" (suffix_set_search's count) or
-    "deadline".  budget_exhausted is read off stop."""
+    "deadline".  status (EXHAUSTED or CAP_REACHED) and budget_exhausted
+    are read off stop."""
 
-    status: str  # EXHAUSTED | CAP_REACHED
+    status: str = field(init=False)  # EXHAUSTED | CAP_REACHED
     threshold: int | None
     longest_word: tuple[int, ...]
     nodes_expanded: int
@@ -59,7 +60,24 @@ class SearchOutcome:
     budget_exhausted: bool = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "status", EXHAUSTED if self.stop == EXHAUSTED else CAP_REACHED)
         object.__setattr__(self, "budget_exhausted", self.stop in ("nodes", "sets", "deadline"))
+
+    def to_dict(self) -> dict:
+        return {**vars(self), "longest_word": list(self.longest_word)}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "SearchOutcome":
+        """The record to_dict wrote.  A malformed record raises KeyError,
+        TypeError or ValueError: a missing field, an unknown key, or a
+        status or budget_exhausted that disagrees with its stop."""
+        d = dict(d)
+        recorded = d.pop("status", None), d.pop("budget_exhausted", None)
+        d["longest_word"] = tuple(d["longest_word"])
+        out = cls(**d)
+        if recorded != (out.status, out.budget_exhausted):
+            raise ValueError(f"outcome record {recorded} disagrees with its stop {out.stop!r}")
+        return out
 
 
 class _StateTable:
@@ -154,7 +172,7 @@ def longest_avoiding_word(
             and time.monotonic() > deadline
         ):
             stop = "cap" if L >= cap else "nodes" if nodes >= limit else "deadline"
-            return SearchOutcome(CAP_REACHED, None, best_word, nodes, best, stop)
+            return SearchOutcome(None, best_word, nodes, best, stop)
         # each column shifted to the lengths of the child's blocks
         E, forbidden, shifted = ends[L + 1], 0, []
         for i, col in cols.items():
@@ -165,7 +183,7 @@ def longest_avoiding_word(
         todo = iter([a for a in range(n) if not forbidden >> a & 1])
         while (a := next(todo, None)) is None:
             if not stack:
-                return SearchOutcome(EXHAUSTED, best + 1, best_word, nodes, cap, EXHAUSTED)
+                return SearchOutcome(best + 1, best_word, nodes, cap, EXHAUSTED)
             toggle(len(word))
             fed.pop()
             word.pop()
@@ -328,7 +346,7 @@ def suffix_set_search(
             if done >= best:
                 best = done + 1
     if stop is not None:
-        outcome = SearchOutcome(CAP_REACHED, None, deepest, len(longest), len(deepest), stop)
+        outcome = SearchOutcome(None, deepest, len(longest), len(deepest), stop)
     else:
         # the lexicographically first longest word: the smallest symbol
         # whose child keeps the maximum, from the root down
@@ -336,9 +354,7 @@ def suffix_set_search(
         while longest[S]:
             a, S = next((a, ch) for a, ch in children(S) if longest[ch] == longest[S] - 1)
             best_word.append(a)
-        outcome = SearchOutcome(
-            EXHAUSTED, longest[0] + 1, tuple(best_word), len(longest), cap, EXHAUSTED
-        )
+        outcome = SearchOutcome(longest[0] + 1, tuple(best_word), len(longest), cap, EXHAUSTED)
     return SuffixSetResult(len(longest), outcome=outcome)
 
 
@@ -399,7 +415,7 @@ def colouring_search(
             and time.monotonic() > deadline
         ):
             stop = "nodes" if nodes >= limit else "deadline"
-            return SearchOutcome(CAP_REACHED, None, word(best_colours), nodes, best, stop)
+            return SearchOutcome(None, word(best_colours), nodes, best, stop)
         last = colours[-1]
         kids = [(last, (last + 1, True))] if L == 0 or colours[-2] != last else []
         if last + 1 < n:
@@ -407,9 +423,7 @@ def colouring_search(
         todo = (c for c, key in kids if key not in seen and not seen.add(key))
         while (c := next(todo, None)) is None:
             if not stack:
-                return SearchOutcome(
-                    EXHAUSTED, best + 1, word(best_colours), nodes, cap, EXHAUSTED
-                )
+                return SearchOutcome(best + 1, word(best_colours), nodes, cap, EXHAUSTED)
             colours.pop()
             todo = stack.pop()
         stack.append(todo)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .families import (
     SUM_PLUS_C_PROD,
@@ -45,7 +45,7 @@ from .families import (
     family_from_descriptor,
 )
 from .ring import ModulusContext, PreconditionError, pow_cycle
-from .words import PeriodicWord, Word
+from .words import PeriodicWord
 
 CERTIFICATE_VERSION = 1
 
@@ -96,32 +96,44 @@ class Certificate:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Certificate":
+        """The record to_dict wrote; a missing field or an unknown key
+        raises PreconditionError."""
         if d.get("version") != CERTIFICATE_VERSION:
             raise PreconditionError(f"unsupported certificate version {d.get('version')!r}")
         cw = d.get("counter_window")
-        return cls(
-            version=d["version"],
-            n=d["n"],
-            family=d["family"],
-            m=d["m"],
-            period=tuple(d["period"]),
-            G=d["G"],
-            T=tuple(d["T"]),
-            alpha=d["alpha"],
-            beta=d["beta"],
-            pre=d["pre"],
-            per=d["per"],
-            checked_max_l=d["checked_max_l"],
-            verdict=d["verdict"],
-            counter_window=tuple(cw) if cw is not None else None,
-        )
+        try:
+            cert = cls(
+                version=d["version"],
+                n=d["n"],
+                family=d["family"],
+                m=d["m"],
+                period=tuple(d["period"]),
+                G=d["G"],
+                T=tuple(d["T"]),
+                alpha=d["alpha"],
+                beta=d["beta"],
+                pre=d["pre"],
+                per=d["per"],
+                checked_max_l=d["checked_max_l"],
+                verdict=d["verdict"],
+                counter_window=tuple(cw) if cw is not None else None,
+            )
+        except KeyError as e:
+            raise PreconditionError(f"certificate lacks field {e.args[0]!r}") from None
+        # every other field is there, so a longer record has an unknown key
+        if len(d) != len(_CERTIFICATE_KEYS) - ("counter_window" not in d):
+            unknown = sorted(d.keys() - _CERTIFICATE_KEYS)
+            raise PreconditionError(f"unknown certificate fields {unknown}")
+        return cert
 
 
-def scan_word(word: Word, fam: FunctionalFamily, m: int) -> list[Window]:
-    """All vanishing m-windows of a finite word, ordered by (l, s)."""
+_CERTIFICATE_KEYS = frozenset(f.name for f in fields(Certificate))
+
+
+def scan_word(symbols: tuple[int, ...], fam: FunctionalFamily, m: int) -> list[Window]:
+    """All vanishing m-windows of the finite word symbols, ordered by (l, s)."""
     if m < 1:
         raise PreconditionError(f"m must be >= 1, got {m}")
-    symbols = word.symbols
     L = len(symbols)
     windows = []
     # states[s]: the state of the length-l block at s, for s <= L - l
@@ -234,7 +246,7 @@ def recheck_counter_window(cert: Certificate) -> bool:
         return False
     s, l = cert.counter_window
     fam = family_from_descriptor(ModulusContext(cert.n), cert.family)
-    word = PeriodicWord(cert.period, cert.n).unroll(s + cert.m * l).symbols
+    word = PeriodicWord(cert.period, cert.n).unroll(s + cert.m * l)
     return all(not any(fam.value(word[s + j * l : s + (j + 1) * l])) for j in range(cert.m))
 
 

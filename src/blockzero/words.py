@@ -1,8 +1,9 @@
 """Finite and periodic words over Z_n.
 
-A Word is a plain finite word; its block sum and block product are plain
-folds with a range check.  Block values of a family come from the
-family's block-state hook (FunctionalFamily), not from the word.
+A finite word is a plain tuple of residues in [0, n); parse_symbols reads
+one from a literal, and PeriodicWord.unroll cuts one from a periodic word.
+Block values come from the family's block-state hook (FunctionalFamily),
+not from the word.
 """
 
 from __future__ import annotations
@@ -21,37 +22,6 @@ def parse_symbols(text: str, ctx: ModulusContext) -> tuple[int, ...]:
     if not parts:
         raise PreconditionError("empty word literal")
     return tuple(x % ctx.n for x in parts)
-
-
-class Word:
-    """A finite word over Z_n."""
-
-    def __init__(self, ctx: ModulusContext, symbols=()):
-        self.ctx = ctx
-        self.symbols = tuple(s % ctx.n for s in symbols)
-
-    def __len__(self):
-        return len(self.symbols)
-
-    def _check_range(self, start: int, length: int) -> None:
-        if start < 0 or length < 2 or start + length > len(self.symbols):
-            raise PreconditionError(
-                f"block (start={start}, length={length}) out of range for word of length {len(self.symbols)}"
-            )
-
-    def block_sum(self, start: int, length: int) -> int:
-        self._check_range(start, length)
-        return sum(self.symbols[start : start + length]) % self.ctx.n
-
-    def block_product(self, start: int, length: int) -> int:
-        self._check_range(start, length)
-        n = self.ctx.n
-        v = 1
-        for sym in self.symbols[start : start + length]:
-            if sym == 0:
-                return 0
-            v = v * sym % n
-        return v
 
 
 def min_rotation(seq: tuple[int, ...]) -> tuple[int, ...]:
@@ -85,10 +55,8 @@ class PeriodicWord:
     def __hash__(self):
         return hash((self.n, self.canonical()))
 
-    def unroll(self, length: int, ctx: ModulusContext | None = None) -> Word:
+    def unroll(self, length: int) -> tuple[int, ...]:
+        """The first length symbols of the infinite repetition."""
         if length < 1:
             raise PreconditionError(f"unroll length must be >= 1, got {length}")
-        ctx = ctx if ctx is not None else ModulusContext(self.n)
-        P = len(self.period)
-        reps = length // P + 1
-        return Word(ctx, (self.period * reps)[:length])
+        return (self.period * (length // len(self.period) + 1))[:length]

@@ -167,24 +167,24 @@ def test_criterion_5_newton_implication():
 
 def test_criterion_6_property_suites():
     failures = []
-    # block folds vs naive, 10^4 cases
+    # block folds vs naive, 10^4 cases, on the one block-value path (the
+    # family hook): F_0's value is the sum, F_1's minus F_0's the product
     gen = Lcg(2024)
-    from blockzero.words import Word
-
     for _ in range(10_000):
         n = 2 + gen.below(29)
         ctx = ModulusContext(n)
         length = 2 + gen.below(8)
         symbols = [gen.below(n) for _ in range(length)]
-        w = Word(ctx, symbols)
         l = 2 + (gen.below(length - 1) if length > 2 else 0)
         s = gen.below(length - l + 1)
         blk = symbols[s : s + l]
-        if w.block_sum(s, l) != naive_block_sum(blk, n):
-            failures.append(f"block_sum mismatch n={n} {symbols} ({s},{l})")
+        (total,) = sum_plus_c_prod(ctx, 0).value(blk)
+        (f1,) = sum_plus_c_prod(ctx, 1).value(blk)
+        if total != naive_block_sum(blk, n):
+            failures.append(f"block sum mismatch n={n} {symbols} ({s},{l})")
             break
-        if w.block_product(s, l) != naive_block_product(blk, n):
-            failures.append(f"block_product mismatch n={n} {symbols} ({s},{l})")
+        if (f1 - total) % n != naive_block_product(blk, n):
+            failures.append(f"block product mismatch n={n} {symbols} ({s},{l})")
             break
     # F_1 pair characterization, exhaustive n <= 30
     from blockzero.families import vanishing_pairs
@@ -215,7 +215,7 @@ def test_criterion_6_property_suites():
         n, c, m = case[0], case[1], case[2]
         ctx = ModulusContext(n)
         fam = sum_plus_c_prod(ctx, c)
-        word = PeriodicWord(case[3], n).unroll(4 * m * cert.checked_max_l, ctx)
+        word = PeriodicWord(case[3], n).unroll(4 * m * cert.checked_max_l)
         if scan_word(word, fam, m) != []:
             failures.append(f"{case}: unrolled word has a vanishing window mod {n}")
     report(6, failures)

@@ -27,7 +27,7 @@ from blockzero.families import sum_plus_c_prod
 from blockzero.ring import ModulusContext, PreconditionError
 from blockzero.search import CAP_REACHED, SearchOutcome
 from blockzero.verify import AVOIDING, recheck_certificate, scan_word, verify_periodic
-from blockzero.words import PeriodicWord, Word
+from blockzero.words import PeriodicWord
 
 
 def test_catalog_witness_examples():
@@ -315,7 +315,7 @@ def test_cached_longest_word_must_avoid_over_z_n(tmp_path):
     assert word == [0, 1, 0, 1, 0]
     ctx = ModulusContext(3)
     fam = sum_plus_c_prod(ctx, 1)
-    assert scan_word(Word(ctx, [2] + word[1:]), fam, 1)  # (2, 1, 0) sums to 0
+    assert scan_word((2, *word[1:]), fam, 1)  # (2, 1, 0) sums to 0
     path = _cell_path(tmp_path, 3, 1, 1)
     for bad in ([2] + word[1:], [3] + word[1:]):
         with open(path, "w") as fh:
@@ -444,11 +444,11 @@ def test_render_table_says_what_stopped_each_unknown_cell():
     report = TableReport((
         cell(NONVANISHING_PROVED, witness=(2, 3)),
         cell(VANISHING_PROVED, threshold=14),
-        cell(UNKNOWN, outcome=SearchOutcome(CAP_REACHED, None, (0,) * 24, 25, 24, "cap")),
-        cell(UNKNOWN, outcome=SearchOutcome(CAP_REACHED, None, (0,) * 13, 1000, 13, "nodes")),
+        cell(UNKNOWN, outcome=SearchOutcome(None, (0,) * 24, 25, 24, "cap")),
+        cell(UNKNOWN, outcome=SearchOutcome(None, (0,) * 13, 1000, 13, "nodes")),
         # the set search's budget counts suffix-state sets
-        cell(UNKNOWN, m=1, outcome=SearchOutcome(CAP_REACHED, None, (0,) * 9, 40000, 9, "sets")),
-        cell(UNKNOWN, outcome=SearchOutcome(CAP_REACHED, None, (0,) * 5, 2048, 5, "deadline")),
+        cell(UNKNOWN, m=1, outcome=SearchOutcome(None, (0,) * 9, 40000, 9, "sets")),
+        cell(UNKNOWN, outcome=SearchOutcome(None, (0,) * 5, 2048, 5, "deadline")),
     ), ())
     lines = render_table(report).splitlines()
     assert lines[2].endswith("witness 2,3")

@@ -81,6 +81,7 @@ def test_search_exhausted(capsys, cache):
     code, out, _ = run(capsys, "search", "--n", "2", "--family", "sum_plus_c_prod:0")
     assert code == EXIT_OK
     assert "status: exhausted" in out
+    assert "stop: exhausted" in out
     assert "threshold: 4" in out
     assert "longest_word: 0,1,0" in out
 
@@ -90,6 +91,7 @@ def test_search_budget_exit(capsys, cache):
                        "--m", "2", "--cap", "64", "--max-nodes", "50")
     assert code == EXIT_BUDGET
     assert "status: cap_reached" in out
+    assert "stop: nodes" in out
 
 
 def test_search_cap_stop_exits_budget(capsys, cache):
@@ -98,6 +100,7 @@ def test_search_cap_stop_exits_budget(capsys, cache):
                        "--cap", "24")
     assert code == EXIT_BUDGET
     assert "status: cap_reached" in out
+    assert "stop: cap" in out
     assert "threshold" not in out
 
 
@@ -124,6 +127,7 @@ def test_classify(capsys, cache):
     assert code == EXIT_OK
     assert "verdict: nonvanishing_proved" in out
     assert "witness: 1,3,5,3" in out
+    assert "stop:" not in out  # only an UNKNOWN names its stop
 
 
 def test_run_record_logs_the_arguments_main_was_given(capsys, tmp_path):
@@ -141,6 +145,7 @@ def test_classify_unknown_exits_budget(capsys, cache):
                        "--max-nodes", "1000")
     assert code == EXIT_BUDGET
     assert "verdict: unknown" in out
+    assert "stop: sets" in out  # the m = 1 set search's budget
 
 
 def test_classify_contradiction_exit(capsys, cache, monkeypatch):
@@ -158,7 +163,14 @@ def test_usage_errors(capsys, cache):
     code, _, err = run(capsys, "eval", "--n", "5", "--family", "nosuch:1",
                        "--block", "1,2")
     assert code == EXIT_USAGE
-    assert "error:" in err
+    assert "error: unknown family 'nosuch:1'" in err
+    code, _, err = run(capsys, "eval", "--n", "5", "--family", "sum_plus_c_prod",
+                       "--block", "1,2")
+    assert code == EXIT_USAGE
+    assert "error: sum_plus_c_prod needs :c" in err
+    code, _, err = run(capsys, "eval", "--n", "5", "--family", "power_sums:x",
+                       "--block", "1,2")
+    assert code == EXIT_USAGE
     code, _, err = run(capsys, "verify", "--n", "5", "--family", "sum_plus_c_prod:1",
                        "--period", "1,x")
     assert code == EXIT_USAGE

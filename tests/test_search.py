@@ -26,7 +26,7 @@ from blockzero.search import (
     xyr_solve,
 )
 from blockzero.verify import AVOIDING, REFUTED, recheck_certificate, scan_word, verify_periodic
-from blockzero.words import PeriodicWord, Word, min_rotation
+from blockzero.words import PeriodicWord, min_rotation
 
 from oracles import (
     Lcg,
@@ -109,7 +109,7 @@ def test_budget_exhaustion_is_flagged():
     # the deadline is read at the root and then every 2,048 nodes, so a
     # search that starts after its deadline does no work
     out = search(3, 1, 2, cap=64, deadline=time.monotonic() - 1)
-    assert out == SearchOutcome(CAP_REACHED, None, (), 1, 0, "deadline")
+    assert out == SearchOutcome(None, (), 1, 0, "deadline")
 
 
 def test_cap_below_two_rejected():
@@ -349,38 +349,38 @@ def digits(s):
 # cap 24, or (n, c, m, cap, max_nodes).
 PINNED_OUTCOMES = [
     ((6, 1, None), SearchOutcome(
-        EXHAUSTED, 18, (0, 1, 0, 3, 1, 4, 1, 1, 4, 1, 4, 1, 1, 4, 2, 5, 2), 23_392, 24,
+        18, (0, 1, 0, 3, 1, 4, 1, 1, 4, 1, 4, 1, 1, 4, 2, 5, 2), 23_392, 24,
         "exhausted")),
     ((6, 0, None), SearchOutcome(
-        EXHAUSTED, 12, (0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0), 12_662, 24, "exhausted")),
+        12, (0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0), 12_662, 24, "exhausted")),
     ((6, 5, 40_000), SearchOutcome(
-        CAP_REACHED, None,
+        None,
         (1, 4, 1, 1, 5, 1, 4, 2, 5, 3, 5, 2, 4, 1, 5, 1, 1, 4, 1), 40_000, 19,
         "nodes")),
     ((7, 6, None), SearchOutcome(
-        CAP_REACHED, None,
+        None,
         (0, 1, 0, 1, 2, 5, 2, 5, 2, 5, 2, 1, 0, 1, 4, 3, 4, 3, 4, 3, 4, 3, 4, 3),
         6_181, 24, "cap")),
     ((3, 1, 2, 200, 20_000), SearchOutcome(
-        CAP_REACHED, None,
+        None,
         digits("00010002000200210020002000200010002"),
         20_000, 35, "nodes")),
     ((4, 3, 2, 200, 20_000), SearchOutcome(
-        CAP_REACHED, None,
+        None,
         digits(
             "000100010001000100010001000100021000100010001003010023100100"
             "1310001000"
         ),
         20_000, 70, "nodes")),
     ((5, 4, 2, 200, 20_000), SearchOutcome(
-        CAP_REACHED, None,
+        None,
         digits(
             "000100010001000100010001000100010001000210001000100010001000"
             "10001000100010001310001000"
         ),
         20_000, 86, "nodes")),
     ((3, 1, 3, 200, 20_000), SearchOutcome(
-        CAP_REACHED, None,
+        None,
         digits(
             "000001000001000001000001000001000001000001000001000002000100"
             "0010000012001000001010001000001000120020000100000100021000"
@@ -490,7 +490,7 @@ def assert_same_as_dfs(ctx, fam, found):
     assert dfs.status == EXHAUSTED
     assert found.certificate is None
     assert found.outcome == SearchOutcome(
-        EXHAUSTED, dfs.threshold, dfs.longest_word, found.states, 24, "exhausted"
+        dfs.threshold, dfs.longest_word, found.states, 24, "exhausted"
     )
 
 
@@ -589,14 +589,14 @@ def test_suffix_set_search_budgets():
     out = set_search(7, 6, max_nodes=1000)
     assert (out.states, out.certificate) == (1000, None)
     assert out.outcome == SearchOutcome(
-        CAP_REACHED, None, (0, 1, 0, 1, 0, 2, 0, 1, 0, 1, 4, 3, 4, 3, 4, 3, 4, 3, 4, 3),
+        None, (0, 1, 0, 1, 0, 2, 0, 1, 0, 1, 4, 3, 4, 3, 4, 3, 4, 3, 4, 3),
         1000, 20, "sets",
     )
     assert_avoids(ctx, sum_plus_c_prod(ctx, 6), 1, out.outcome.longest_word)
     # the deadline is read at the root and then every 64 sets
     out = set_search(7, 6, deadline=time.monotonic() - 1)
     assert (out.states, out.certificate) == (1, None)
-    assert out.outcome == SearchOutcome(CAP_REACHED, None, (), 1, 0, "deadline")
+    assert out.outcome == SearchOutcome(None, (), 1, 0, "deadline")
     out = set_search(7, 6, deadline=time.monotonic() + 0.05)
     assert out.states == 1 or out.states % 64 == 0
     assert out.certificate is None and out.outcome.stop == "deadline"
@@ -610,7 +610,7 @@ def colouring(n, m, cap=64, **kw):
     ctx = ModulusContext(n)
     out = colouring_search(ctx, m, cap, **kw)
     fam = sum_plus_c_prod(ctx, 0)
-    assert scan_word(Word(ctx, out.longest_word), fam, m) == []
+    assert scan_word(out.longest_word, fam, m) == []
     assert_avoids(ctx, fam, m, out.longest_word)
     if out.status == EXHAUSTED:
         assert len(out.longest_word) == out.threshold - 1
@@ -638,9 +638,32 @@ def test_colouring_search_budgets():
     assert out.nodes_expanded == 3 and len(out.longest_word) == out.cap == 2
     # a search that starts after its deadline does no work
     out = colouring(5, 1, deadline=time.monotonic() - 1)
-    assert out == SearchOutcome(CAP_REACHED, None, (), 1, 0, "deadline")
+    assert out == SearchOutcome(None, (), 1, 0, "deadline")
     with pytest.raises(PreconditionError):
         colouring(3, 1, cap=1)
     # at m >= 2 F_0 stays on the tree DFS
     with pytest.raises(PreconditionError):
         colouring(3, 2)
+
+
+def test_outcome_record_is_pinned():
+    # perfbench's spans.py and gate.py read status, budget_exhausted and
+    # nodes_expanded off the outcome record of every classification
+    cap = {"threshold": None, "longest_word": [0, 1, 0, 1], "nodes_expanded": 5, "cap": 4,
+           "stop": "cap", "status": "cap_reached", "budget_exhausted": False}
+    sets = {**cap, "stop": "sets", "budget_exhausted": True}
+    exhausted = {"threshold": 4, "longest_word": [0, 1, 0], "nodes_expanded": 6, "cap": 32,
+                 "stop": "exhausted", "status": "exhausted", "budget_exhausted": False}
+    for out, record in [
+        (search(7, 6, 1, cap=4), cap),
+        (set_search(7, 6, max_nodes=5).outcome, sets),
+        (search(2, 0, 1), exhausted),
+    ]:
+        assert out.to_dict() == record
+        assert SearchOutcome.from_dict(record) == out
+        # status and budget_exhausted are read off stop: a record whose
+        # copy of either disagrees with it is malformed
+        other = CAP_REACHED if out.status == EXHAUSTED else EXHAUSTED
+        for key, value in [("status", other), ("budget_exhausted", not out.budget_exhausted)]:
+            with pytest.raises(ValueError):
+                SearchOutcome.from_dict({**record, key: value})

@@ -29,7 +29,7 @@ from blockzero.verify import (
     scan_word,
     verify_periodic,
 )
-from blockzero.words import PeriodicWord, Word, min_rotation
+from blockzero.words import PeriodicWord, min_rotation
 from oracles import (
     Lcg,
     first_vanishing_window,
@@ -43,15 +43,15 @@ from oracles import (
 def test_scan_word_examples():
     ctx = ModulusContext(6)
     fam = sum_plus_c_prod(ctx, 1)
-    hits = scan_word(Word(ctx, (1, 3, 5)), fam, 1)
+    hits = scan_word((1, 3, 5), fam, 1)
     assert [(w.start, w.length) for w in hits] == [(0, 3)]
 
     ctx3 = ModulusContext(3)
-    hits = scan_word(Word(ctx3, (0, 0)), sum_plus_c_prod(ctx3, 1), 1)
+    hits = scan_word((0, 0), sum_plus_c_prod(ctx3, 1), 1)
     assert [(w.start, w.length) for w in hits] == [(0, 2)]
 
     ctx5 = ModulusContext(5)
-    hits = scan_word(Word(ctx5, (4, 1, 4, 1, 4, 1)), sum_plus_c_prod(ctx5, 2), 1)
+    hits = scan_word((4, 1, 4, 1, 4, 1), sum_plus_c_prod(ctx5, 2), 1)
     assert hits == []
 
 
@@ -72,14 +72,14 @@ def test_scan_word_matches_naive_windows():
         ):
             desc = fam.to_descriptor()
             want = vanishing_windows(word, m, lambda b: not any(naive_value(desc, b, n)))
-            got = scan_word(Word(ctx, word), fam, m)
+            got = scan_word(word, fam, m)
             assert [(w.start, w.length) for w in got] == want
             assert all(w.count == m for w in got)
 
 
 def test_scan_word_ordered_by_length_then_start():
     ctx = ModulusContext(3)
-    hits = scan_word(Word(ctx, (0, 0, 0, 0)), sum_plus_c_prod(ctx, 1), 1)
+    hits = scan_word((0, 0, 0, 0), sum_plus_c_prod(ctx, 1), 1)
     assert [(w.length, w.start) for w in hits] == sorted((w.length, w.start) for w in hits)
 
 
@@ -127,7 +127,7 @@ def test_certificate_scan_cross_check():
         ctx = ModulusContext(n)
         fam = sum_plus_c_prod(ctx, c)
         length = 4 * m * cert.checked_max_l
-        word = PeriodicWord(period, n).unroll(length, ctx)
+        word = PeriodicWord(period, n).unroll(length)
         assert scan_word(word, fam, m) == []
 
 
@@ -144,11 +144,10 @@ def test_lockstep_states_match_direct_blocks():
     ctx = ModulusContext(12)
     fam = sum_plus_c_prod(ctx, 11)
     period = (2, 10, 7)
-    word = PeriodicWord(period, 12).unroll(100, ctx)
+    word = PeriodicWord(period, 12).unroll(100)
     for l, states in lockstep_states(period, fam, 29):
         for s, (total, prod) in enumerate(states):
-            direct = (word.block_sum(s, l) + 11 * word.block_product(s, l)) % 12
-            assert (total + 11 * prod) % 12 == direct
+            assert (total + 11 * prod) % 12 == naive_f_c(word[s : s + l], 12, 11)
 
 
 def full_scan_certificate(period, fam, m):
@@ -372,7 +371,7 @@ def test_reduce_witness_soundness_empirical():
     assert cert9.verdict == AVOIDING
     ctx18 = ModulusContext(18)
     fam18 = sum_plus_c_prod(ctx18, 1)
-    word = PeriodicWord((7, 4, 4), 18).unroll(500, ctx18)
+    word = PeriodicWord((7, 4, 4), 18).unroll(500)
     assert scan_word(word, fam18, 1) == []
 
 
@@ -403,6 +402,17 @@ def test_load_rejects_tampered_certificate(tmp_path):
 def test_certificate_version_checked():
     with pytest.raises(PreconditionError):
         Certificate.from_dict({"version": 99})
+
+
+def test_certificate_with_a_missing_or_unknown_field_is_rejected(tmp_path):
+    path = tmp_path / "c.json"
+    # an avoiding certificate, and a refuted one with its counter_window
+    for cert in (avoiding_cert(12, 1, (2, 10)), avoiding_cert(6, 1, (1, 3, 5, 3))):
+        d = cert.to_dict()
+        for bad in ({k: v for k, v in d.items() if k != "G"}, {**d, "extra": 1}):
+            path.write_text(json.dumps(bad))
+            with pytest.raises(PreconditionError):
+                load_certificate(path, recheck=False)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -1,64 +1,61 @@
 import pytest
 
+from blockzero.families import sum_plus_c_prod
 from blockzero.ring import ModulusContext, PreconditionError
-from blockzero.words import PeriodicWord, Word, min_rotation, parse_symbols
+from blockzero.words import PeriodicWord, min_rotation, parse_symbols
 
 from oracles import Lcg, naive_block_product, naive_block_sum
 
 
+def block_sum_product(symbols, n):
+    """A block's sum and product mod n, read off the one block-value path
+    (FunctionalFamily.value): F_0's value is the sum, and F_1's value
+    minus F_0's is the product."""
+    ctx = ModulusContext(n)
+    (total,) = sum_plus_c_prod(ctx, 0).value(symbols)
+    (f1,) = sum_plus_c_prod(ctx, 1).value(symbols)
+    return total, (f1 - total) % n
+
+
 def test_block_sum_examples():
-    ctx = ModulusContext(6)
-    w = Word(ctx, (1, 3, 5, 3))
-    assert w.block_sum(0, 3) == 3
-    ctx5 = ModulusContext(5)
-    w5 = Word(ctx5, (4, 1, 4, 1))
-    assert w5.block_sum(1, 2) == 0
-    wz = Word(ctx5, (0, 0))
-    assert wz.block_sum(0, 2) == 0
+    assert block_sum_product((1, 3, 5), 6)[0] == 3
+    assert block_sum_product((1, 4), 5)[0] == 0
+    assert block_sum_product((0, 0), 5)[0] == 0
 
 
 def test_block_product_examples():
-    ctx = ModulusContext(12)
-    w = Word(ctx, (2, 10, 2, 10))
-    assert w.block_product(0, 2) == 8
-    ctx9 = ModulusContext(9)
-    w9 = Word(ctx9, (7, 4, 4))
-    assert w9.block_product(0, 3) == 4
-    w0 = Word(ctx9, (7, 0, 4))
-    assert w0.block_product(0, 3) == 0
+    assert block_sum_product((2, 10), 12)[1] == 8
+    assert block_sum_product((7, 4, 4), 9)[1] == 4
+    assert block_sum_product((7, 0, 4), 9)[1] == 0
 
 
 def test_block_out_of_range():
-    ctx = ModulusContext(5)
-    w = Word(ctx, (1, 2, 3))
-    with pytest.raises(PreconditionError):
-        w.block_sum(2, 2)
-    with pytest.raises(PreconditionError):
-        w.block_product(0, 4)
+    # a block has length >= 2
+    fam = sum_plus_c_prod(ModulusContext(5), 1)
+    for short in ((), (3,)):
+        with pytest.raises(PreconditionError):
+            fam.value(short)
 
 
-def test_prefix_structures_match_naive_folds():
+def test_block_values_match_naive_folds():
     gen = Lcg(99)
     for _ in range(600):
         n = 2 + gen.below(29)
-        ctx = ModulusContext(n)
         length = 2 + gen.below(12)
         symbols = [gen.below(n) for _ in range(length)]
-        w = Word(ctx, symbols)
         l = 2 + gen.below(length - 1) if length > 2 else 2
         s = gen.below(length - l + 1)
         blk = symbols[s : s + l]
-        assert w.block_sum(s, l) == naive_block_sum(blk, n)
-        assert w.block_product(s, l) == naive_block_product(blk, n)
+        assert block_sum_product(blk, n) == (naive_block_sum(blk, n), naive_block_product(blk, n))
 
 
 def test_unroll_examples():
     pw = PeriodicWord((3, 13), 16)
-    assert tuple(pw.unroll(5).symbols) == (3, 13, 3, 13, 3)
+    assert pw.unroll(5) == (3, 13, 3, 13, 3)
     pw = PeriodicWord((5, 3, 3), 11)
-    assert tuple(pw.unroll(7).symbols) == (5, 3, 3, 5, 3, 3, 5)
+    assert pw.unroll(7) == (5, 3, 3, 5, 3, 3, 5)
     pw = PeriodicWord((4,), 9)
-    assert tuple(pw.unroll(3).symbols) == (4, 4, 4)
+    assert pw.unroll(3) == (4, 4, 4)
     with pytest.raises(PreconditionError):
         pw.unroll(0)
 
