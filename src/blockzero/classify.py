@@ -37,7 +37,7 @@ from .search import (
     suffix_set_search,
     xyr_solve,
 )
-from .verify import AVOIDING, Certificate, recheck_certificate, scan_word, verify_periodic
+from .verify import AVOIDING, Certificate, scan_word, verify_periodic
 from .words import PeriodicWord
 
 VANISHING_PROVED = "vanishing_proved"
@@ -183,42 +183,43 @@ def _load_cached(path: str, n: int, fam: FunctionalFamily, m: int) -> Classifica
     """The cached proved verdict of cell (n, fam, m), or None to recompute.
 
     An entry is served only if it is about the requested cell and its
-    proof fits its verdict: a witness with a re-checked avoiding
-    certificate for that cell, or an exhausted search whose threshold is
-    one past its longest word, a word over Z_n with no vanishing m-window
-    (scan_word); that no longer word avoids is not re-derived.  An UNKNOWN
-    records only that one budget ran out, so it is never served: a later
-    call may have more.  An unreadable or malformed file is a miss too:
-    a record from before outcomes had a stop, or an outcome whose status
-    or budget_exhausted disagrees with its stop."""
+    proof fits its verdict: an avoiding certificate of its witness equal
+    to the one verify_periodic derives afresh for the cell's own family,
+    or an exhausted search whose threshold is one past its longest word,
+    a word over Z_n with no vanishing m-window (scan_word); that no longer
+    word avoids is not re-derived.  An UNKNOWN records only that one
+    budget ran out, so it is never served: a later call may have more.
+    An unreadable or malformed file is a miss too: a record from before
+    outcomes had a stop, an outcome whose status or budget_exhausted
+    disagrees with its stop, or a proof that cannot be re-derived."""
     if not os.path.exists(path):
         return None
     try:
         with open(path) as fh:
             cls = Classification.from_dict(json.load(fh))
+        if (cls.n, cls.c, cls.m) != (n, fam.c, m):
+            return None  # a file of another cell
+        if cls.verdict == NONVANISHING_PROVED:
+            cert = cls.certificate
+            ok = (
+                cert is not None
+                and cert.verdict == AVOIDING
+                and cert.period == cls.witness
+                and cert == verify_periodic(PeriodicWord(cls.witness, n), fam, m)
+            )
+        elif cls.verdict == VANISHING_PROVED:
+            out = cls.outcome
+            ok = (
+                out is not None
+                and out.stop == EXHAUSTED
+                and cls.threshold == out.threshold == len(out.longest_word) + 1
+                and all(0 <= a < n for a in out.longest_word)
+                and not scan_word(out.longest_word, fam, m)
+            )
+        else:
+            ok = False
     except (ValueError, KeyError, TypeError, AttributeError):
         return None  # truncated or hand-edited: recompute and replace it
-    if (cls.n, cls.c, cls.m) != (n, fam.c, m):
-        return None  # a file of another cell
-    if cls.verdict == NONVANISHING_PROVED:
-        cert = cls.certificate
-        ok = (
-            cert is not None
-            and (cert.n, cert.family, cert.m, cert.period, cert.verdict)
-            == (n, fam.to_descriptor(), m, cls.witness, AVOIDING)
-            and recheck_certificate(cert)
-        )
-    elif cls.verdict == VANISHING_PROVED:
-        out = cls.outcome
-        ok = (
-            out is not None
-            and out.stop == EXHAUSTED
-            and cls.threshold == out.threshold == len(out.longest_word) + 1
-            and all(0 <= a < n for a in out.longest_word)
-            and not scan_word(out.longest_word, fam, m)
-        )
-    else:
-        ok = False
     return cls if ok else None  # otherwise stale or corrupt: recompute
 
 

@@ -211,6 +211,8 @@ def transformation_sums(ctx: ModulusContext, tables) -> FunctionalFamily:
     for t in tabs:
         if len(t) != ctx.n:
             raise PreconditionError(f"table has {len(t)} entries, expected n={ctx.n}")
+        if not all(isinstance(x, int) for x in t):
+            raise PreconditionError(f"table entries must be integers, got {list(t)}")
     return FunctionalFamily(ctx, TRANSFORMATION_SUMS, tables=tabs)
 
 
@@ -227,15 +229,21 @@ def elementary_symmetric_family(ctx: ModulusContext, r: int) -> FunctionalFamily
 
 
 def family_from_descriptor(ctx: ModulusContext, desc: dict) -> FunctionalFamily:
-    kind = desc.get("kind")
-    if kind == SUM_PLUS_C_PROD:
-        return sum_plus_c_prod(ctx, int(desc["c"]))
-    if kind == TRANSFORMATION_SUMS:
-        return transformation_sums(ctx, desc["tables"])
-    if kind == POWER_SUMS:
-        return power_sums(ctx, int(desc["r"]))
-    if kind == ELEMENTARY_SYMMETRIC:
-        return elementary_symmetric_family(ctx, int(desc["r"]))
+    """The family desc names.  It is the one reader of --family specs and
+    of certificate records, so a malformed descriptor raises
+    PreconditionError."""
+    kind = desc.get("kind") if isinstance(desc, dict) else None
+    try:
+        if kind == SUM_PLUS_C_PROD:
+            return sum_plus_c_prod(ctx, int(desc["c"]))
+        if kind == TRANSFORMATION_SUMS:
+            return transformation_sums(ctx, desc["tables"])
+        if kind == POWER_SUMS:
+            return power_sums(ctx, int(desc["r"]))
+        if kind == ELEMENTARY_SYMMETRIC:
+            return elementary_symmetric_family(ctx, int(desc["r"]))
+    except (KeyError, TypeError, ValueError) as e:
+        raise PreconditionError(f"malformed family descriptor {desc!r}: {e}") from None
     raise PreconditionError(f"unknown family kind {kind!r}")
 
 

@@ -13,8 +13,9 @@ start residues, grows all of them by one symbol per length in one
 extend_all call, and reads each m-window off the residues its blocks start
 at: the AND of the P-bit mask Z = vanishing_mask(states) rotated by
 j*l mod P, j < m, has bit s set iff window (s, l) vanishes.
-The length bound holds for F_c and transformation sums; other family
-kinds raise UnsupportedFamilyError.
+The length bound holds for every family with table sums (sum_tables():
+F_c, transformation sums and power sums); e_r has none and raises
+UnsupportedFamilyError.
 
 The pass stops at the first vanishing window or at the first repeated
 state vector, whichever comes first.  Going from length l to l + 1 extends
@@ -26,6 +27,10 @@ already checked.  The certificate's bound fields are computed as before:
 checked_max_l stays the certificate's length bound and the pass's upper
 limit, so the certificate does not depend on where the pass stopped.
 
+A Certificate is plain data: its record follows the dataclass's fields,
+and a re-check is one comparison with a fresh verify_periodic
+(recheck_certificate).
+
 Finite words are scanned on the same hook (scan_word: the blocks at every
 start grow in lockstep too), as are refuting windows
 (recheck_counter_window): the family's hook is the one block-value path.
@@ -35,15 +40,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-from .families import (
-    SUM_PLUS_C_PROD,
-    TRANSFORMATION_SUMS,
-    FunctionalFamily,
-    Window,
-    family_from_descriptor,
-)
+from .families import FunctionalFamily, Window, family_from_descriptor
 from .ring import ModulusContext, PreconditionError, pow_cycle
 from .words import PeriodicWord
 
@@ -75,59 +74,23 @@ class Certificate:
     counter_window: tuple[int, int] | None = None
 
     def to_dict(self) -> dict:
-        d = {
-            "version": self.version,
-            "n": self.n,
-            "family": self.family,
-            "m": self.m,
-            "period": list(self.period),
-            "G": self.G,
-            "T": list(self.T),
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "pre": self.pre,
-            "per": self.per,
-            "checked_max_l": self.checked_max_l,
-            "verdict": self.verdict,
-        }
-        if self.counter_window is not None:
-            d["counter_window"] = list(self.counter_window)
+        d = {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
+        if self.counter_window is None:
+            del d["counter_window"]
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "Certificate":
-        """The record to_dict wrote; a missing field or an unknown key
-        raises PreconditionError."""
+        """The record to_dict wrote; a wrong version, a missing field or an
+        unknown key raises PreconditionError."""
         if d.get("version") != CERTIFICATE_VERSION:
             raise PreconditionError(f"unsupported certificate version {d.get('version')!r}")
         cw = d.get("counter_window")
         try:
-            cert = cls(
-                version=d["version"],
-                n=d["n"],
-                family=d["family"],
-                m=d["m"],
-                period=tuple(d["period"]),
-                G=d["G"],
-                T=tuple(d["T"]),
-                alpha=d["alpha"],
-                beta=d["beta"],
-                pre=d["pre"],
-                per=d["per"],
-                checked_max_l=d["checked_max_l"],
-                verdict=d["verdict"],
-                counter_window=tuple(cw) if cw is not None else None,
-            )
-        except KeyError as e:
-            raise PreconditionError(f"certificate lacks field {e.args[0]!r}") from None
-        # every other field is there, so a longer record has an unknown key
-        if len(d) != len(_CERTIFICATE_KEYS) - ("counter_window" not in d):
-            unknown = sorted(d.keys() - _CERTIFICATE_KEYS)
-            raise PreconditionError(f"unknown certificate fields {unknown}")
-        return cert
-
-
-_CERTIFICATE_KEYS = frozenset(f.name for f in fields(Certificate))
+            return cls(**{**d, "period": tuple(d["period"]), "T": tuple(d["T"]),
+                          "counter_window": tuple(cw) if cw is not None else None})
+        except (KeyError, TypeError) as e:
+            raise PreconditionError(f"malformed certificate record: {e}") from None
 
 
 def scan_word(symbols: tuple[int, ...], fam: FunctionalFamily, m: int) -> list[Window]:
@@ -178,7 +141,8 @@ def verify_periodic(pw: PeriodicWord, fam: FunctionalFamily, m: int) -> Certific
     ctx = fam.ctx
     if pw.n != ctx.n:
         raise PreconditionError("periodic word and family moduli differ")
-    if fam.kind not in (SUM_PLUS_C_PROD, TRANSFORMATION_SUMS):
+    tables = fam.sum_tables()
+    if not tables:
         raise UnsupportedFamilyError(
             f"family kind {fam.kind!r} has no certified periodic check; use a bounded scan instead"
         )
@@ -186,7 +150,7 @@ def verify_periodic(pw: PeriodicWord, fam: FunctionalFamily, m: int) -> Certific
     P = len(period)
     n = ctx.n
     G = math.prod(period) % n
-    T = tuple(sum(t[x] for x in period) % n for t in fam.sum_tables())
+    T = tuple(sum(t[x] for x in period) % n for t in tables)
     cyc = pow_cycle(G, ctx)
     pre = P * (cyc.preperiod + 1)
     per = math.lcm(P * n, P * cyc.cycle_len)
@@ -234,10 +198,8 @@ def verify_periodic(pw: PeriodicWord, fam: FunctionalFamily, m: int) -> Certific
 def recheck_certificate(cert: Certificate) -> bool:
     """Re-derive the certificate from scratch; True iff every field,
     the bound fields included, matches the stored one."""
-    ctx = ModulusContext(cert.n)
-    fam = family_from_descriptor(ctx, cert.family)
-    fresh = verify_periodic(PeriodicWord(cert.period, cert.n), fam, cert.m)
-    return fresh.to_dict() == cert.to_dict()
+    fam = family_from_descriptor(ModulusContext(cert.n), cert.family)
+    return verify_periodic(PeriodicWord(cert.period, cert.n), fam, cert.m) == cert
 
 
 def recheck_counter_window(cert: Certificate) -> bool:

@@ -251,13 +251,24 @@ def _cell_path(cache_dir, n, c, m):
 
 
 def test_unreadable_or_malformed_cache_file_is_a_miss(tmp_path):
-    fresh = {**classify(5, 1, 1).to_dict(), "elapsed_ms": 0}
-    path = _cell_path(tmp_path, 5, 1, 1)
+    nonvan = {**classify(5, 1, 1).to_dict(), "elapsed_ms": 0}
+    van = {**classify(3, 1, 1).to_dict(), "elapsed_ms": 0}
     # truncated, missing fields, and a key Classification does not have
-    for text in ('{"n": 5', '{"n": 5, "c": 1, "m": 1}', json.dumps({**fresh, "stop": None})):
+    cases = [((5, 1, 1), nonvan, text) for text in (
+        '{"n": 5', '{"n": 5, "c": 1, "m": 1}', json.dumps({**nonvan, "stop": None}))]
+    # proofs that cannot be re-derived: no period, a symbol that is no
+    # residue, and a longest word with one
+    for period in ([], ["a"]):
+        cert = {**nonvan["certificate"], "period": period}
+        cases.append(((5, 1, 1), nonvan, json.dumps({**nonvan, "witness": period, "certificate": cert})))
+    for symbol in ("a", None):
+        word = [symbol] + van["outcome"]["longest_word"][1:]
+        cases.append(((3, 1, 1), van, json.dumps({**van, "outcome": {**van["outcome"], "longest_word": word}})))
+    for cell, fresh, text in cases:
+        path = _cell_path(tmp_path, *cell)
         with open(path, "w") as fh:
             fh.write(text)
-        got = classify(5, 1, 1, cache_dir=str(tmp_path))
+        got = classify(*cell, cache_dir=str(tmp_path))
         assert {**got.to_dict(), "elapsed_ms": 0} == fresh
         with open(path) as fh:
             assert {**json.load(fh), "elapsed_ms": 0} == fresh  # the file was replaced

@@ -180,6 +180,11 @@ def test_usage_errors(capsys, cache):
     code, _, err = run(capsys, "eval", "--n", "5", "--family", "sum_plus_c_prod:1",
                        "--block", "3")
     assert code == EXIT_USAGE
+    # malformed tables: a number, a list of numbers, a string and a float entry
+    for tables in ("3", "[3]", '[[0,1,"a"]]', "[[0,1,2.5]]"):
+        code, _, err = run(capsys, "eval", "--n", "3", "--family",
+                           "transformation_sums:" + tables, "--block", "1,2")
+        assert code == EXIT_USAGE and "error: malformed family descriptor" in err, tables
 
 
 def test_transformation_sums_inline_and_file(capsys, cache, tmp_path):
@@ -216,13 +221,20 @@ def test_report_small_grid(capsys, cache, tmp_path):
 
 
 def test_cli_import_leaves_concurrent_futures_out():
-    # only `report --jobs N` with N > 1 uses a process pool
+    # only `report --jobs N` with N > 1 uses a process pool, and the
+    # runtime is stdlib-only: the modules that importing the CLI adds (the
+    # interpreter's site may already have loaded others) are stdlib ones
     import blockzero
 
     src = os.path.dirname(os.path.dirname(blockzero.__file__))
-    probe = "import sys, blockzero.cli; print('concurrent.futures' in sys.modules)"
+    probe = (
+        "import sys; before = set(sys.modules); import blockzero.cli; "
+        "added = {name.partition('.')[0] for name in set(sys.modules) - before}; "
+        "print('concurrent.futures' in sys.modules); "
+        "print(sorted(added - sys.stdlib_module_names - {'blockzero'}))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=src),
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split("\n")[:2] == ["False", "[]"]

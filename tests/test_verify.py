@@ -198,6 +198,8 @@ def test_verify_periodic_matches_naive_first_window():
                 transformation_sums(ctx, [list(range(n)), table]),
                 lambda b, table=table: naive_block_sum(b, n) == 0 and naive_block_sum(b, n, table) == 0,
             ))
+        fam = power_sums(ctx, 2)
+        cases.append((fam, lambda b, d=fam.to_descriptor(): not any(naive_value(d, b, n))))
         shapes = [(P, (1, 2, 3)) for P in (1, 2, 3)] + [(P, (3,)) for P in (4, 5) if n <= 5]
         for P, ms in shapes:
             for period in itertools.product(range(n), repeat=P):
@@ -346,12 +348,16 @@ def test_verify_supports_vector_transformation_sums():
     cert = verify_periodic(PeriodicWord((1, 2), 4), fam, 1)
     assert cert.verdict in (AVOIDING, REFUTED)
     assert recheck_certificate(cert)
+    # power sums are the table sums of the power tables x -> x^i
+    cert = verify_periodic(PeriodicWord((1, 2), 5), power_sums(ModulusContext(5), 2), 1)
+    assert (cert.verdict, cert.counter_window) == (REFUTED, (0, 10))
+    assert recheck_certificate(cert) and recheck_counter_window(cert)
 
 
 def test_verify_rejects_unsupported_families():
     ctx = ModulusContext(5)
     with pytest.raises(UnsupportedFamilyError):
-        verify_periodic(PeriodicWord((1, 2), 5), power_sums(ctx, 2), 1)
+        verify_periodic(PeriodicWord((1, 2), 5), elementary_symmetric_family(ctx, 2), 1)
 
 
 def test_reduce_witness_examples():
@@ -399,6 +405,25 @@ def test_load_rejects_tampered_certificate(tmp_path):
         load_certificate(path, recheck=True)
 
 
+def test_certificate_record_is_pinned():
+    # perfbench's gate reads these keys; an avoiding record has no
+    # counter_window key
+    avoiding = avoiding_cert(12, 1, (2, 10))
+    assert avoiding.to_dict() == {
+        "version": 1, "n": 12, "family": {"kind": "sum_plus_c_prod", "c": 1}, "m": 1,
+        "period": [2, 10], "G": 8, "T": [0], "alpha": 0, "beta": 2, "pre": 2, "per": 24,
+        "checked_max_l": 26, "verdict": "avoiding",
+    }
+    refuted = avoiding_cert(24, 1, (3, 21))
+    assert refuted.to_dict() == {
+        "version": 1, "n": 24, "family": {"kind": "sum_plus_c_prod", "c": 1}, "m": 1,
+        "period": [3, 21], "G": 15, "T": [0], "alpha": 0, "beta": 2, "pre": 2, "per": 48,
+        "checked_max_l": 50, "verdict": "refuted", "counter_window": [0, 3],
+    }
+    for cert in (avoiding, refuted):
+        assert Certificate.from_dict(json.loads(json.dumps(cert.to_dict()))) == cert
+
+
 def test_certificate_version_checked():
     with pytest.raises(PreconditionError):
         Certificate.from_dict({"version": 99})
@@ -413,6 +438,18 @@ def test_certificate_with_a_missing_or_unknown_field_is_rejected(tmp_path):
             path.write_text(json.dumps(bad))
             with pytest.raises(PreconditionError):
                 load_certificate(path, recheck=False)
+
+
+def test_load_rejects_a_malformed_family(tmp_path):
+    d = avoiding_cert(12, 1, (2, 10)).to_dict()
+    path = tmp_path / "family.json"
+    for family in (
+        {"kind": "sum_plus_c_prod"}, {"kind": "sum_plus_c_prod", "c": "x"},
+        {"kind": "transformation_sums", "tables": 3}, {"kind": "nosuch"}, "sum_plus_c_prod",
+    ):
+        path.write_text(json.dumps({**d, "family": family}))
+        with pytest.raises(PreconditionError):
+            load_certificate(path, recheck=True)
 
 
 @pytest.mark.parametrize("field, value", [
