@@ -5,7 +5,7 @@ transformation sums, power sums, elementary symmetric polynomials),
 certifies periodic witnesses through a finite eventual-periodicity check,
 and decides small cases exactly by exhausting the avoidance tree (at
 m = 1, its fold into a graph of suffix-state sets; for the plain block
-sum, a colour-symmetric search of its prefix sums).
+sum, the pigeonhole bound on its prefix sums).
 """
 
 from .classify import (
@@ -37,7 +37,6 @@ from .search import (
     SearchOutcome,
     XYRSolution,
     build_xyr_witness,
-    colouring_search,
     longest_avoiding_word,
     mine_witness,
     suffix_set_search,
@@ -72,7 +71,6 @@ __all__ = [
     "build_xyr_witness",
     "catalog_witness",
     "classify",
-    "colouring_search",
     "elementary_symmetric_family",
     "expected_verdict",
     "is_cubic_residue",

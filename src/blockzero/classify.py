@@ -6,10 +6,10 @@ to Z_n (largest divisor first), then mined periodic witnesses (smallest
 divisor alphabets first).  For c = 0 it looks for none: a block of
 k = n / gcd(n, T) whole periods of a period with sum T has sum 0, so F_0
 has no periodic witness (zero-sum van der Waerden).  Only without a
-witness does it run the avoidance search.  At m = 1 that is the colouring
-search for c = 0 (a colour may occur only at one adjacent pair of prefix
-sums, so the threshold is 2n) and the suffix-state-set graph alone
-otherwise; at m >= 2 it is the avoidance-tree DFS for every c.  Every
+witness does it decide by search, except for c = 0 at m = 1, which has a
+closed form (a residue may occur only at one adjacent pair of prefix
+sums, so the threshold is 2n).  Otherwise at m = 1 it runs the
+suffix-state-set graph alone, and at m >= 2 the avoidance-tree DFS.  Every
 returned proof object is independently re-checkable, and verdicts are
 compared against the known classification of these families; a verified
 disagreement is a hard error, not a result.
@@ -29,9 +29,9 @@ from .families import FunctionalFamily, sum_plus_c_prod
 from .ring import ModulusContext, PreconditionError, factorize, is_prime
 from .search import (
     EXHAUSTED,
+    InternalInvariantError,
     SearchOutcome,
     build_xyr_witness,
-    colouring_search,
     longest_avoiding_word,
     mine_witness,
     suffix_set_search,
@@ -286,6 +286,32 @@ def _witness(ctx: ModulusContext, fam: FunctionalFamily, m: int, p_max: int,
     return None
 
 
+def _pigeonhole_outcome(fam: FunctionalFamily, cap: int) -> SearchOutcome:
+    """F_0 (the plain block sum) over Z_n at m = 1, in closed form.
+
+    With prefix sums S_0 = 0 and S_i = a_1 + ... + a_i, the block of
+    length l >= 2 at s vanishes iff S_s = S_{s+l}.  So a word of length L
+    avoids iff each residue takes one of the positions 0..L or one adjacent
+    pair of them: then L + 1 <= 2n, and every word of length 2n has a
+    vanishing block.  The word (0, 1, 0, 1, ..., 0) of length 2n - 1 has
+    the prefix sums 0, 0, 1, 1, ..., n - 1, n - 1, so it avoids and the
+    threshold is exactly 2n.  It is the first longest word in ascending
+    symbol order, the one the DFS and the set search return: in a word of
+    length 2n - 1 every residue takes exactly one adjacent pair, position
+    0 can pair only with 1, then 2 with 3 and so on, so a_1, a_3, ... are
+    0 and a_2, a_4, ... are nonzero, and 1 at each of them keeps the n
+    pairs' residues 0, 1, ..., n - 1 distinct.  Nothing is searched, so
+    the outcome counts no nodes and no budget applies; the word is scanned
+    once before it stands as the proof."""
+    if cap < 2:
+        raise PreconditionError(f"cap must be >= 2, got {cap}")
+    n = fam.ctx.n
+    word = (0, 1) * (n - 1) + (0,)
+    if scan_word(word, fam, 1):
+        raise InternalInvariantError(f"the pigeonhole word over Z_{n} has a vanishing block")
+    return SearchOutcome(2 * n, word, 0, cap, EXHAUSTED)
+
+
 def classify(
     n: int,
     c: int,
@@ -313,14 +339,14 @@ def classify(
     found = _witness(ctx, fam, m, p_max, t0 + 0.3 * budget_ms / 1000.0)
     nodes = 0
     if found is None:
-        # at m = 1 F_0 is a van der Waerden colouring, and otherwise the
-        # graph of suffix-state sets decides either way or reports its own
+        # at m = 1 F_0 has a closed form, and otherwise the graph of
+        # suffix-state sets decides either way or reports its own
         # budget stop (each reachable set is some tree node's, so the DFS
         # under the same node budget exhausts no cell the graph leaves
         # open); the tree DFS at m >= 2
         search_deadline = t0 + budget_ms / 1000.0
         if m == 1 and c == 0:
-            outcome = colouring_search(ctx, m, cap, max_nodes=max_nodes, deadline=search_deadline)
+            outcome = _pigeonhole_outcome(fam, cap)
         elif m == 1:
             sets = suffix_set_search(ctx, fam, cap, max_nodes=max_nodes, deadline=search_deadline)
             outcome = sets.outcome

@@ -14,12 +14,7 @@ diagonal of the block lengths whose m - 1 earlier blocks vanish, so it
 finds all of its forbidden children with one read and an OR per column
 instead of scanning windows.  At m = 1 suffix_set_search folds the tree into a
 graph on the sets of suffix states and decides either way: a cycle is a
-periodic witness, and an exhausted graph gives the exact threshold.  For
-F_0 (the plain block sum) at m = 1, colouring_search searches the prefix
-sums as a van der Waerden colouring instead, one restricted-growth colour
-string per class of words that differ by a permutation of the colours: a
-colour may occur only at one adjacent pair of positions, so it takes 2n
-nodes and gives threshold 2n, where the set graph takes 2^n sets.  Every
+periodic witness, and an exhausted graph gives the exact threshold.  Every
 outcome names its stop.
 """
 
@@ -356,78 +351,6 @@ def suffix_set_search(
             best_word.append(a)
         outcome = SearchOutcome(longest[0] + 1, tuple(best_word), len(longest), cap, EXHAUSTED)
     return SuffixSetResult(len(longest), outcome=outcome)
-
-
-def colouring_search(
-    ctx: ModulusContext,
-    m: int,
-    cap: int,
-    max_nodes: int | None = None,
-    deadline: float | None = None,
-) -> SearchOutcome:
-    """Decide F_0 (the plain block sum) over Z_n at m = 1 as a van der
-    Waerden colouring.
-
-    With prefix sums S_0 = 0 and S_i = a_1 + ... + a_i, the block of
-    length l at s vanishes iff S_s = S_{s+l}.  So a word of length L avoids
-    iff no colour of the colouring i -> S_i of 0..L takes two positions at
-    distance >= 2, and that depends only on which positions share a colour.
-    The DFS therefore walks restricted-growth colour strings: position 0
-    has colour 0 and a new colour is always the smallest unused one, one
-    string for the (n - 1)! / (n - k)! words with the same k-colour
-    pattern.  The longest colouring is read back as the word
-    a_i = c_i - c_{i-1} (a colour is a residue), so threshold and
-    longest_word mean what they mean for longest_avoiding_word.
-
-    A colour may occur only at one adjacent pair of positions, so a child
-    either repeats the last colour, if it does not repeat already, or
-    takes a new one, and a node's subtree depends only on its key (colours
-    used, whether the last colour repeats).  Repeating is tried first, so
-    the first node with a key is its deepest, and a child whose key was
-    reached by its turn is skipped: the search has 2n nodes and threshold
-    2n.  The cap does not apply, since a proof does not depend on depth,
-    and is only recorded in an exhausted outcome, as in suffix_set_search.
-    The stack is explicit; the deadline is read at the root and then every
-    2,048 nodes.  At m >= 2 F_0 stays on longest_avoiding_word.
-    """
-    if cap < 2:
-        raise PreconditionError(f"cap must be >= 2, got {cap}")
-    if m != 1:
-        raise PreconditionError(f"the colouring search decides m = 1 only, got m = {m}")
-    n = ctx.n
-    colours = [0]  # c_0 .. c_L: the colour of S_0 = 0 is 0, the last is the largest
-    seen = {(1, False)}  # the keys reached
-
-    def word(cols) -> tuple[int, ...]:
-        return tuple((b - a) % n for a, b in zip(cols, cols[1:]))
-
-    stack: list = []  # the remaining children of each parent
-    limit = max_nodes if max_nodes is not None else float("inf")
-    best, best_colours, nodes = 0, (0,), 0
-    while True:
-        nodes += 1
-        L = len(colours) - 1
-        if L > best:
-            best, best_colours = L, tuple(colours)
-        if nodes >= limit or (
-            deadline is not None
-            and (nodes == 1 or nodes % 2048 == 0)
-            and time.monotonic() > deadline
-        ):
-            stop = "nodes" if nodes >= limit else "deadline"
-            return SearchOutcome(None, word(best_colours), nodes, best, stop)
-        last = colours[-1]
-        kids = [(last, (last + 1, True))] if L == 0 or colours[-2] != last else []
-        if last + 1 < n:
-            kids.append((last + 1, (last + 2, False)))
-        todo = (c for c, key in kids if key not in seen and not seen.add(key))
-        while (c := next(todo, None)) is None:
-            if not stack:
-                return SearchOutcome(best + 1, word(best_colours), nodes, cap, EXHAUSTED)
-            colours.pop()
-            todo = stack.pop()
-        stack.append(todo)
-        colours.append(c)
 
 
 @dataclass(frozen=True)

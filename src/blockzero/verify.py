@@ -32,8 +32,7 @@ and a re-check is one comparison with a fresh verify_periodic
 (recheck_certificate).
 
 Finite words are scanned on the same hook (scan_word: the blocks at every
-start grow in lockstep too), as are refuting windows
-(recheck_counter_window): the family's hook is the one block-value path.
+start grow in lockstep too): the family's hook is the one block-value path.
 """
 
 from __future__ import annotations
@@ -202,16 +201,6 @@ def recheck_certificate(cert: Certificate) -> bool:
     return verify_periodic(PeriodicWord(cert.period, cert.n), fam, cert.m) == cert
 
 
-def recheck_counter_window(cert: Certificate) -> bool:
-    """Re-evaluate the embedded refuting window directly on the word."""
-    if cert.verdict != REFUTED or cert.counter_window is None:
-        return False
-    s, l = cert.counter_window
-    fam = family_from_descriptor(ModulusContext(cert.n), cert.family)
-    word = PeriodicWord(cert.period, cert.n).unroll(s + cert.m * l)
-    return all(not any(fam.value(word[s + j * l : s + (j + 1) * l])) for j in range(cert.m))
-
-
 def save_certificate(cert: Certificate, path) -> None:
     with open(path, "w") as fh:
         json.dump(cert.to_dict(), fh, indent=1, sort_keys=True)
@@ -219,10 +208,17 @@ def save_certificate(cert: Certificate, path) -> None:
 
 
 def load_certificate(path, recheck: bool = True) -> Certificate:
-    """Load a certificate; by default re-verify before trusting it."""
+    """Load a certificate; by default re-verify before trusting it.  A
+    record that is not a certificate's, its values of the wrong type
+    included, raises PreconditionError."""
     with open(path) as fh:
-        cert = Certificate.from_dict(json.load(fh))
-    if recheck and not recheck_certificate(cert):
+        record = json.load(fh)
+    try:
+        cert = Certificate.from_dict(record)
+        ok = not recheck or recheck_certificate(cert)
+    except (TypeError, AttributeError) as e:
+        raise PreconditionError(f"malformed certificate at {path}: {e}") from None
+    if not ok:
         raise PreconditionError(f"certificate at {path} failed re-verification")
     return cert
 

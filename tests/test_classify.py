@@ -149,10 +149,10 @@ def test_classify_m1_uses_the_suffix_set_graph():
 
 
 def test_classify_decides_f0_without_a_witness_stage(monkeypatch):
-    # F_0 has no witness, so no witness stage runs: at m = 1 only the
-    # colouring search, in 2n nodes (the set graph took 2^n sets, 128 at
-    # n = 7), and at m = 2 only the tree DFS, which reaches the cap after
-    # 25 nodes
+    # F_0 has no witness, so no witness stage runs: at m = 1 no search
+    # either, since the threshold 2n is a closed form (the set graph took
+    # 2^n sets, 128 at n = 7), and at m = 2 only the tree DFS, which
+    # reaches the cap after 25 nodes
     classify_mod = importlib.import_module("blockzero.classify")
     dfs = classify_mod.longest_avoiding_word
 
@@ -165,7 +165,7 @@ def test_classify_decides_f0_without_a_witness_stage(monkeypatch):
     for n in range(2, 25):
         cls = classify(n, 0, 1)
         assert (cls.verdict, cls.provenance, cls.threshold) == (VANISHING_PROVED, "search", 2 * n)
-        assert cls.nodes_expanded == cls.outcome.nodes_expanded == 2 * n
+        assert cls.nodes_expanded == cls.outcome.nodes_expanded == 0
     monkeypatch.setattr(classify_mod, "longest_avoiding_word", dfs)
     cls = classify(7, 0, 2)
     assert (cls.verdict, cls.outcome.stop, cls.nodes_expanded) == (UNKNOWN, "cap", 25)

@@ -5,6 +5,7 @@ from math import prod
 
 import pytest
 
+from blockzero.classify import VANISHING_PROVED, classify
 from blockzero.families import (
     elementary_symmetric_family,
     power_sums,
@@ -19,7 +20,6 @@ from blockzero.search import (
     SearchOutcome,
     _necklaces,
     build_xyr_witness,
-    colouring_search,
     longest_avoiding_word,
     mine_witness,
     suffix_set_search,
@@ -605,45 +605,23 @@ def test_suffix_set_search_budgets():
         set_search(2, 0, cap=1)
 
 
-def colouring(n, m, cap=64, **kw):
-    """The colouring search on F_0 over Z_n; its longest word must avoid."""
-    ctx = ModulusContext(n)
-    out = colouring_search(ctx, m, cap, **kw)
-    fam = sum_plus_c_prod(ctx, 0)
-    assert scan_word(out.longest_word, fam, m) == []
-    assert_avoids(ctx, fam, m, out.longest_word)
-    if out.status == EXHAUSTED:
-        assert len(out.longest_word) == out.threshold - 1
-    return out
-
-
-def test_colouring_search_at_m1_is_2n():
-    # a colour may occur only at one adjacent pair of positions, so 2n
-    # prefix sums avoid and 2n + 1 do not; the memo on (colours used,
-    # whether the last one repeats) keeps the search at 2n nodes, where
-    # the tree DFS takes 6 at n = 2 and the set graph 2^n sets
-    ctx = ModulusContext(2)
-    assert longest_avoiding_word(ctx, sum_plus_c_prod(ctx, 0), 1, 24).threshold == 4
+def test_f0_at_m1_is_the_pigeonhole_word():
+    # two equal prefix sums at distance >= 2 make a vanishing block, so
+    # 2n prefix sums avoid only as n adjacent pairs: the threshold is 2n
+    # and classify builds the word (0, 1, ..., 0) without a search
     for n in range(2, 25):
-        out = colouring(n, 1, cap=24)
-        assert (out.status, out.stop, out.threshold, out.nodes_expanded) == (
-            EXHAUSTED, "exhausted", 2 * n, 2 * n)
+        cls = classify(n, 0, 1)
+        word = (0, 1) * (n - 1) + (0,)
+        assert (cls.verdict, cls.threshold, cls.outcome.longest_word) == (
+            VANISHING_PROVED, 2 * n, word)
+        assert cls.nodes_expanded == cls.outcome.nodes_expanded == 0
+        ctx = ModulusContext(n)
+        assert_avoids(ctx, sum_plus_c_prod(ctx, 0), 1, word)
         if n <= 10:
-            assert set_search(n, 0).outcome.threshold == out.threshold
-
-
-def test_colouring_search_budgets():
-    out = colouring(5, 1, max_nodes=3)
-    assert (out.status, out.stop, out.budget_exhausted) == (CAP_REACHED, "nodes", True)
-    assert out.nodes_expanded == 3 and len(out.longest_word) == out.cap == 2
-    # a search that starts after its deadline does no work
-    out = colouring(5, 1, deadline=time.monotonic() - 1)
-    assert out == SearchOutcome(None, (), 1, 0, "deadline")
-    with pytest.raises(PreconditionError):
-        colouring(3, 1, cap=1)
-    # at m >= 2 F_0 stays on the tree DFS
-    with pytest.raises(PreconditionError):
-        colouring(3, 2)
+            found = set_search(n, 0).outcome
+            assert cls.outcome == replace(found, nodes_expanded=0)
+        if n <= 4:
+            assert bfs_threshold(n, 0, 1) == (2 * n, word)
 
 
 def test_outcome_record_is_pinned():
