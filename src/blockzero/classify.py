@@ -255,7 +255,7 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(2, n + 1) if n % d == 0]
 
 
-def _witness(ctx: ModulusContext, fam: FunctionalFamily, m: int, p_max: int,
+def _witness(fam: FunctionalFamily, m: int, p_max: int,
              deadline: float) -> tuple[str, Certificate] | None:
     """A verified avoiding period for the cell, with its provenance, or None.
 
@@ -268,7 +268,7 @@ def _witness(ctx: ModulusContext, fam: FunctionalFamily, m: int, p_max: int,
     is 0 for every multiple k of n / gcd(n, T)."""
     if fam.c == 0:
         return None
-    n = ctx.n
+    n = fam.ctx.n
     divisors = _divisors(n)
     for d in reversed(divisors):
         wd = catalog_witness(d, fam.c % d, m)
@@ -278,7 +278,7 @@ def _witness(ctx: ModulusContext, fam: FunctionalFamily, m: int, p_max: int,
         if cert.verdict == AVOIDING:
             return ("catalog" if d == n else "miner"), cert
     for d in divisors:
-        res = mine_witness(ctx, fam, m, p_max, deadline=deadline, alphabet=range(d), limit=1)
+        res = mine_witness(fam.ctx, fam, m, p_max, deadline=deadline, alphabet=range(d), limit=1)
         if res.witnesses:
             return "miner", res.witnesses[0][1]
         if time.monotonic() > deadline:
@@ -286,7 +286,7 @@ def _witness(ctx: ModulusContext, fam: FunctionalFamily, m: int, p_max: int,
     return None
 
 
-def _pigeonhole_outcome(fam: FunctionalFamily, cap: int) -> SearchOutcome:
+def _pigeonhole_outcome(fam: FunctionalFamily) -> SearchOutcome:
     """F_0 (the plain block sum) over Z_n at m = 1, in closed form.
 
     With prefix sums S_0 = 0 and S_i = a_1 + ... + a_i, the block of
@@ -303,13 +303,11 @@ def _pigeonhole_outcome(fam: FunctionalFamily, cap: int) -> SearchOutcome:
     pairs' residues 0, 1, ..., n - 1 distinct.  Nothing is searched, so
     the outcome counts no nodes and no budget applies; the word is scanned
     once before it stands as the proof."""
-    if cap < 2:
-        raise PreconditionError(f"cap must be >= 2, got {cap}")
     n = fam.ctx.n
     word = (0, 1) * (n - 1) + (0,)
     if scan_word(word, fam, 1):
         raise InternalInvariantError(f"the pigeonhole word over Z_{n} has a vanishing block")
-    return SearchOutcome(2 * n, word, 0, cap, EXHAUSTED)
+    return SearchOutcome(2 * n, word, 0, EXHAUSTED)
 
 
 def classify(
@@ -323,12 +321,13 @@ def classify(
     cache_dir: str | None = None,
 ) -> Classification:
     """A witness, else the avoidance search; Unknown absorbs budget
-    exhaustion."""
-    if n < 2 or m < 1:
-        raise PreconditionError(f"need n >= 2 and m >= 1, got n={n}, m={m}")
+    exhaustion.  cap bounds the depth of the tree DFS (m >= 2) alone: the
+    m = 1 set search and the F_0 closed form decide at any depth.  It is
+    checked for every cell, whichever stage decides it."""
+    if n < 2 or m < 1 or cap < 2:
+        raise PreconditionError(f"need n >= 2, m >= 1 and cap >= 2, got n={n}, m={m}, cap={cap}")
     c %= n
-    ctx = ModulusContext(n)
-    fam = sum_plus_c_prod(ctx, c)
+    fam = sum_plus_c_prod(ModulusContext(n), c)
     path = _cache_path(cache_dir, n, fam, m) if cache_dir else None
     if path:
         cached = _load_cached(path, n, fam, m)
@@ -336,7 +335,7 @@ def classify(
             return cached
 
     t0 = time.monotonic()
-    found = _witness(ctx, fam, m, p_max, t0 + 0.3 * budget_ms / 1000.0)
+    found = _witness(fam, m, p_max, t0 + 0.3 * budget_ms / 1000.0)
     nodes = 0
     if found is None:
         # at m = 1 F_0 has a closed form, and otherwise the graph of
@@ -346,15 +345,15 @@ def classify(
         # open); the tree DFS at m >= 2
         search_deadline = t0 + budget_ms / 1000.0
         if m == 1 and c == 0:
-            outcome = _pigeonhole_outcome(fam, cap)
+            outcome = _pigeonhole_outcome(fam)
         elif m == 1:
-            sets = suffix_set_search(ctx, fam, cap, max_nodes=max_nodes, deadline=search_deadline)
+            sets = suffix_set_search(fam, max_nodes=max_nodes, deadline=search_deadline)
             outcome = sets.outcome
             if sets.certificate is not None:
                 found, nodes = ("search", sets.certificate), sets.states
         else:
             outcome = longest_avoiding_word(
-                ctx, fam, m, cap, max_nodes=max_nodes, deadline=search_deadline
+                fam, m, cap, max_nodes=max_nodes, deadline=search_deadline
             )
     elapsed_ms = int((time.monotonic() - t0) * 1000)
     if found is not None:
@@ -469,7 +468,7 @@ def render_table(report: TableReport) -> str:
         else:
             out = cls.outcome
             detail = {
-                "cap": f"cap reached at length {out.cap}",
+                "cap": f"cap reached at length {len(out.longest_word)}",
                 "nodes": f"node budget after {out.nodes_expanded} nodes",
                 "sets": f"set budget after {out.nodes_expanded} sets",
                 "deadline": f"time budget after {out.nodes_expanded} nodes or sets",

@@ -118,12 +118,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    ctx = ModulusContext(args.n)
-    fam = parse_family(args.family, ctx)
+    fam = parse_family(args.family, ModulusContext(args.n))
     deadline = time.monotonic() + args.budget_ms / 1000.0 if args.budget_ms else None
-    out = longest_avoiding_word(
-        ctx, fam, args.m, args.cap, max_nodes=args.max_nodes, deadline=deadline
-    )
+    out = longest_avoiding_word(fam, args.m, args.cap, max_nodes=args.max_nodes, deadline=deadline)
     print(f"status: {out.status}")
     print(f"stop: {out.stop}")
     if out.status == EXHAUSTED:
@@ -139,11 +136,7 @@ def cmd_mine(args) -> int:
     ctx = ModulusContext(args.n)
     fam = parse_family(args.family, ctx)
     deadline = time.monotonic() + args.budget_ms / 1000.0 if args.budget_ms else None
-    alphabet = range(1, ctx.n) if args.nonzero else None
-    res = mine_witness(
-        ctx, fam, args.m, args.pmax,
-        deadline=deadline, alphabet=alphabet, limit=args.limit,
-    )
+    res = mine_witness(ctx, fam, args.m, args.pmax, deadline=deadline, limit=args.limit)
     cache_dir = resolve_cache_dir(args.cache_dir)
     artifacts = []
     for pw, cert in res.witnesses:
@@ -185,7 +178,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_xyr(args) -> int:
-    sol = xyr_solve(args.p, method=args.method)
+    sol = xyr_solve(args.p)
     print(f"x={sol.x} y={sol.y} r={sol.r}")
     print(f"method: {sol.method}")
     return EXIT_OK
@@ -262,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--pmax", type=int, default=4)
     p.add_argument("--budget-ms", type=int, default=None)
-    p.add_argument("--nonzero", action="store_true", help="restrict to nonzero symbols")
     p.add_argument("--limit", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_mine)
@@ -280,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("xyr", help="solve x + r*y = 0, x*y^r = 1 mod p")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--method", default="constructive",
-                   choices=["constructive", "brute-force"])
     p.set_defaults(func=cmd_xyr)
 
     p = sub.add_parser("report", help="classify a grid and compare with the known table")

@@ -41,16 +41,15 @@ class InternalInvariantError(AssertionError):
 @dataclass(frozen=True)
 class SearchOutcome:
     """What a search settled.  stop says why it ended: "exhausted" (the
-    threshold is exact), "cap" (a word reached the cap), or the budget
-    that ran out: "nodes", "sets" (suffix_set_search's count) or
-    "deadline".  status (EXHAUSTED or CAP_REACHED) and budget_exhausted
-    are read off stop."""
+    threshold is exact), "cap" (a word reached the cap, so the cap is
+    len(longest_word)), or the budget that ran out: "nodes", "sets"
+    (suffix_set_search's count) or "deadline".  status (EXHAUSTED or
+    CAP_REACHED) and budget_exhausted are read off stop."""
 
     status: str = field(init=False)  # EXHAUSTED | CAP_REACHED
     threshold: int | None
     longest_word: tuple[int, ...]
     nodes_expanded: int
-    cap: int
     stop: str
     budget_exhausted: bool = field(init=False)
 
@@ -81,13 +80,13 @@ class _StateTable:
     extended by a) and a mask of the symbols whose extension vanishes.
     singles[a] is the id of the one-symbol block (a)."""
 
-    def __init__(self, fam: FunctionalFamily, n: int):
-        self.fam, self.n = fam, n
+    def __init__(self, fam: FunctionalFamily):
+        self.fam, self.n = fam, fam.ctx.n
         self.ids: dict[tuple[int, ...], int] = {}
         self.states: list[tuple[int, ...]] = []
         self.rows: list[list[int] | None] = []
         self.masks: list[int] = []
-        self.singles = [self.intern(st) for st in fam.block_states(range(n))]
+        self.singles = [self.intern(st) for st in fam.block_states(range(self.n))]
 
     def intern(self, st: tuple[int, ...]) -> int:
         i = self.ids.get(st)
@@ -106,7 +105,6 @@ class _StateTable:
 
 
 def longest_avoiding_word(
-    ctx: ModulusContext,
     fam: FunctionalFamily,
     m: int,
     cap: int,
@@ -134,8 +132,8 @@ def longest_avoiding_word(
         raise PreconditionError(f"cap must be >= 2, got {cap}")
     if m < 1:
         raise PreconditionError(f"m must be >= 1, got {m}")
-    n = ctx.n
-    table = _StateTable(fam, n)
+    n = fam.ctx.n
+    table = _StateTable(fam)
     rows, masks, expand, singles = table.rows, table.masks, table.expand, table.singles
     word: list[int] = []
     # diags[j][d]: bit l iff the j + 1 length-l blocks ending at d - l,
@@ -167,7 +165,7 @@ def longest_avoiding_word(
             and time.monotonic() > deadline
         ):
             stop = "cap" if L >= cap else "nodes" if nodes >= limit else "deadline"
-            return SearchOutcome(None, best_word, nodes, best, stop)
+            return SearchOutcome(None, best_word, nodes, stop)
         # each column shifted to the lengths of the child's blocks
         E, forbidden, shifted = ends[L + 1], 0, []
         for i, col in cols.items():
@@ -178,7 +176,7 @@ def longest_avoiding_word(
         todo = iter([a for a in range(n) if not forbidden >> a & 1])
         while (a := next(todo, None)) is None:
             if not stack:
-                return SearchOutcome(best + 1, best_word, nodes, cap, EXHAUSTED)
+                return SearchOutcome(best + 1, best_word, nodes, EXHAUSTED)
             toggle(len(word))
             fed.pop()
             word.pop()
@@ -211,9 +209,7 @@ class SuffixSetResult:
 
 
 def suffix_set_search(
-    ctx: ModulusContext,
     fam: FunctionalFamily,
-    cap: int,
     max_nodes: int | None = None,
     deadline: float | None = None,
 ) -> SuffixSetResult:
@@ -237,17 +233,13 @@ def suffix_set_search(
     states.  Per-byte tables give, for each 8 ids, the OR of their
     vanishing masks and of their child bits under every symbol, packed in
     one int, so a set's forbidden symbols and children take one lookup per
-    byte of its mask.  Each set entered counts against max_nodes; the cap
-    does not apply, since a proof does not depend on depth, and is only
-    recorded in an exhausted outcome.  A budget stop is a CAP_REACHED
-    outcome with stop "sets" or "deadline", the sets entered as its node
-    count, and the first longest word the search walked, whose length
-    stands in for the cap.
+    byte of its mask.  Each set entered counts against max_nodes; no cap
+    applies, since a proof does not depend on depth.  A budget stop is a
+    CAP_REACHED outcome with stop "sets" or "deadline", the sets entered
+    as its node count, and the first longest word the search walked.
     """
-    if cap < 2:
-        raise PreconditionError(f"cap must be >= 2, got {cap}")
-    n = ctx.n
-    table = _StateTable(fam, n)
+    n = fam.ctx.n
+    table = _StateTable(fam)
     i = 0
     while i < len(table.states):  # the closure of the one-symbol states
         table.expand(i)
@@ -341,7 +333,7 @@ def suffix_set_search(
             if done >= best:
                 best = done + 1
     if stop is not None:
-        outcome = SearchOutcome(None, deepest, len(longest), len(deepest), stop)
+        outcome = SearchOutcome(None, deepest, len(longest), stop)
     else:
         # the lexicographically first longest word: the smallest symbol
         # whose child keeps the maximum, from the root down
@@ -349,7 +341,7 @@ def suffix_set_search(
         while longest[S]:
             a, S = next((a, ch) for a, ch in children(S) if longest[ch] == longest[S] - 1)
             best_word.append(a)
-        outcome = SearchOutcome(longest[0] + 1, tuple(best_word), len(longest), cap, EXHAUSTED)
+        outcome = SearchOutcome(longest[0] + 1, tuple(best_word), len(longest), EXHAUSTED)
     return SuffixSetResult(len(longest), outcome=outcome)
 
 
@@ -419,8 +411,10 @@ def mine_witness(
     residues below a divisor of n); it is reduced mod n, and order and
     repeats do not matter.  The result is incomplete (complete=False) when
     the deadline passes or when limit witnesses have been found before the
-    enumeration ends.
+    enumeration ends.  ctx must be the family's own modulus, fam.ctx.
     """
+    if ctx != fam.ctx:
+        raise PreconditionError(f"{ctx} is not the family's modulus {fam.ctx}")
     if p_max < 1:
         raise PreconditionError(f"p_max must be >= 1, got {p_max}")
     n = ctx.n
@@ -459,31 +453,22 @@ class XYRSolution:
     x: int
     y: int
     r: int
-    method: str  # "cubic-residue" | "discriminant" | "brute-force"
+    method: str  # "cubic-residue" | "discriminant"
 
 
 def _validate_xyr(p: int, x: int, y: int, r: int) -> bool:
     return x % p != 0 and y % p != 0 and (x + r * y) % p == 0 and x * pow(y, r, p) % p == 1
 
 
-def xyr_solve(p: int, method: str = "constructive") -> XYRSolution:
+def xyr_solve(p: int) -> XYRSolution:
     """Nonzero x, y and r in {2, 3} with x + r*y = 0 and x*y^r = 1 mod p.
 
-    Constructive path: a cube root of 4 gives r = 2; otherwise -3 is a
-    square and x = (3z)^((p+1)/4) gives r = 3.  The result is always
-    validated against the defining equations.
+    A cube root of 4 gives r = 2; otherwise -3 is a square and
+    x = (3z)^((p+1)/4) gives r = 3.  The result is always validated
+    against the defining equations.
     """
     if not is_prime(p) or p % 4 != 3 or p <= 3:
         raise PreconditionError(f"p must be a prime > 3 with p = 3 mod 4, got {p}")
-    if method == "brute-force":
-        for r in (2, 3):
-            for x in range(1, p):
-                y = (-x * pow(r, -1, p)) % p
-                if y and x * pow(y, r, p) % p == 1:
-                    return XYRSolution(p, x, y, r, "brute-force")
-        raise InternalInvariantError(f"no solution found by brute force for p={p}")
-    if method != "constructive":
-        raise PreconditionError(f"unknown method {method!r}")
     if is_cubic_residue(4, p):
         x = min(t for t in range(1, p) if pow(t, 3, p) == 4)
         y = (-x * pow(2, -1, p)) % p

@@ -209,15 +209,15 @@ def save_certificate(cert: Certificate, path) -> None:
 
 def load_certificate(path, recheck: bool = True) -> Certificate:
     """Load a certificate; by default re-verify before trusting it.  A
-    record that is not a certificate's, its values of the wrong type
-    included, raises PreconditionError."""
+    file that is not JSON, truncated ones included, or a record that is
+    not a certificate's, its values of the wrong type included, raises
+    PreconditionError."""
     with open(path) as fh:
-        record = json.load(fh)
-    try:
-        cert = Certificate.from_dict(record)
-        ok = not recheck or recheck_certificate(cert)
-    except (TypeError, AttributeError) as e:
-        raise PreconditionError(f"malformed certificate at {path}: {e}") from None
+        try:
+            cert = Certificate.from_dict(json.load(fh))
+            ok = not recheck or recheck_certificate(cert)
+        except (ValueError, TypeError, AttributeError) as e:
+            raise PreconditionError(f"malformed certificate at {path}: {e}") from None
     if not ok:
         raise PreconditionError(f"certificate at {path} failed re-verification")
     return cert

@@ -1,9 +1,8 @@
 """Finite and periodic words over Z_n.
 
 A finite word is a plain tuple of residues in [0, n); parse_symbols reads
-one from a literal, and PeriodicWord.unroll cuts one from a periodic word.
-Block values come from the family's block-state hook (FunctionalFamily),
-not from the word.
+one from a literal.  Block values come from the family's block-state hook
+(FunctionalFamily), not from the word.
 """
 
 from __future__ import annotations
@@ -54,9 +53,3 @@ class PeriodicWord:
 
     def __hash__(self):
         return hash((self.n, self.canonical()))
-
-    def unroll(self, length: int) -> tuple[int, ...]:
-        """The first length symbols of the infinite repetition."""
-        if length < 1:
-            raise PreconditionError(f"unroll length must be >= 1, got {length}")
-        return (self.period * (length // len(self.period) + 1))[:length]

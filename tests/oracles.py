@@ -88,6 +88,11 @@ def bfs_threshold_tables(n, tables, m, max_len=64):
     raise RuntimeError(f"no threshold up to length {max_len}")
 
 
+def unroll(period, length):
+    """The first length symbols of the repetition of period."""
+    return (tuple(period) * (length // len(period) + 1))[:length]
+
+
 def first_vanishing_window(period, m, max_l, vanishes):
     """The first window (s, l) in (l, s) order, with s < len(period) and
     2 <= l <= max_l, whose m blocks all vanish on the unrolled periodic
@@ -137,6 +142,18 @@ def naive_vanishing_mask(desc, blocks, n):
         for t, block in enumerate(blocks)
         if not any(naive_value(desc, [a % n for a in block], n))
     )
+
+
+def xyr_brute_force(p):
+    """The first (x, y, r), r in (2, 3) and then x ascending, of nonzero
+    residues with x + r*y = 0 and x*y^r = 1 mod p, found by trying every
+    x; None if there is none."""
+    for r in (2, 3):
+        for x in range(1, p):
+            y = -x * pow(r, -1, p) % p
+            if y and x * pow(y, r, p) % p == 1:
+                return x, y, r
+    return None
 
 
 class Lcg:

@@ -41,6 +41,7 @@ from oracles import (
     naive_block_product,
     naive_block_sum,
     naive_f_c,
+    unroll,
 )
 
 
@@ -107,16 +108,15 @@ def test_criterion_3_search_decisions():
     failures = []
     t0 = time.monotonic()
     for n, c in [(2, 0), (3, 1)]:
-        ctx = ModulusContext(n)
-        out = longest_avoiding_word(ctx, sum_plus_c_prod(ctx, c), 1, cap=32)
+        out = longest_avoiding_word(sum_plus_c_prod(ModulusContext(n), c), 1, cap=32)
         oracle, _ = bfs_threshold(n, c, 1)
         if out.status != EXHAUSTED or out.threshold != oracle:
             failures.append(f"n={n} c={c}: {out.status} threshold {out.threshold} vs oracle {oracle}")
     if time.monotonic() - t0 >= 10.0:
         failures.append("first two cases exceeded 10s")
     for n, cap, nodes in [(4, 32, None), (8, 32, 300_000)]:
-        ctx = ModulusContext(n)
-        out = longest_avoiding_word(ctx, sum_plus_c_prod(ctx, 1), 1, cap=cap, max_nodes=nodes)
+        fam = sum_plus_c_prod(ModulusContext(n), 1)
+        out = longest_avoiding_word(fam, 1, cap=cap, max_nodes=nodes)
         if out.status == EXHAUSTED:
             oracle, _ = bfs_threshold(n, 1, 1)
             if out.threshold != oracle:
@@ -223,7 +223,7 @@ def test_criterion_6_property_suites():
         n, c, m = case[0], case[1], case[2]
         ctx = ModulusContext(n)
         fam = sum_plus_c_prod(ctx, c)
-        word = PeriodicWord(case[3], n).unroll(4 * m * cert.checked_max_l)
+        word = unroll(case[3], 4 * m * cert.checked_max_l)
         if scan_word(word, fam, m) != []:
             failures.append(f"{case}: unrolled word has a vanishing window mod {n}")
     report(6, failures)

@@ -186,7 +186,7 @@ def test_classify_m1_reports_the_set_search_budget_stop(monkeypatch):
     assert (out.status, out.threshold, out.stop, out.budget_exhausted) == (
         CAP_REACHED, None, "sets", True)
     assert cls.nodes_expanded == out.nodes_expanded == 40_000
-    assert out.cap == len(out.longest_word) == 21
+    assert len(out.longest_word) == 21
 
 
 def test_classify_unknown_under_tiny_budget():
@@ -341,6 +341,11 @@ def test_classify_preconditions():
         classify(1, 0, 1)
     with pytest.raises(PreconditionError):
         classify(5, 1, 0)
+    # the cap is checked for every cell, not only where the tree DFS runs:
+    # F_0 at m = 1 is a closed form, and F_1 mod 5 has a mined witness
+    for c in (0, 1):
+        with pytest.raises(PreconditionError):
+            classify(5, c, 1, cap=1)
 
 
 def test_reproduce_small_table(tmp_path):
@@ -455,11 +460,11 @@ def test_render_table_says_what_stopped_each_unknown_cell():
     report = TableReport((
         cell(NONVANISHING_PROVED, witness=(2, 3)),
         cell(VANISHING_PROVED, threshold=14),
-        cell(UNKNOWN, outcome=SearchOutcome(None, (0,) * 24, 25, 24, "cap")),
-        cell(UNKNOWN, outcome=SearchOutcome(None, (0,) * 13, 1000, 13, "nodes")),
+        cell(UNKNOWN, outcome=SearchOutcome(None, (0,) * 24, 25, "cap")),
+        cell(UNKNOWN, outcome=SearchOutcome(None, (0,) * 13, 1000, "nodes")),
         # the set search's budget counts suffix-state sets
-        cell(UNKNOWN, m=1, outcome=SearchOutcome(None, (0,) * 9, 40000, 9, "sets")),
-        cell(UNKNOWN, outcome=SearchOutcome(None, (0,) * 5, 2048, 5, "deadline")),
+        cell(UNKNOWN, m=1, outcome=SearchOutcome(None, (0,) * 9, 40000, "sets")),
+        cell(UNKNOWN, outcome=SearchOutcome(None, (0,) * 5, 2048, "deadline")),
     ), ())
     lines = render_table(report).splitlines()
     assert lines[2].endswith("witness 2,3")

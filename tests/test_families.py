@@ -283,7 +283,7 @@ def test_state_table_rows_and_masks_agree_with_naive_folds():
     # of its state's mask is set iff the block extended by a vanishes
     for n in range(2, 10):
         for fam in hook_families(n):
-            desc, table = fam.to_descriptor(), _StateTable(fam, n)
+            desc, table = fam.to_descriptor(), _StateTable(fam)
             for l in (1, 2, 3):
                 for block in product(range(n), repeat=l):
                     i = table.singles[block[0]]

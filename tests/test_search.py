@@ -37,6 +37,7 @@ from oracles import (
     naive_f_c,
     naive_value,
     vanishing_windows,
+    xyr_brute_force,
 )
 
 
@@ -46,8 +47,7 @@ def assert_avoids(ctx, fam, m, word):
 
 
 def search(n, c, m, cap=32, **kw):
-    ctx = ModulusContext(n)
-    return longest_avoiding_word(ctx, sum_plus_c_prod(ctx, c), m, cap, **kw)
+    return longest_avoiding_word(sum_plus_c_prod(ModulusContext(n), c), m, cap, **kw)
 
 
 def test_plain_sum_mod_2_threshold():
@@ -93,9 +93,8 @@ def test_cap_reached_on_nonvanishing_family():
     # subtree below depth 86, so the m = 2 input is power sums mod 7, whose
     # first branch runs straight down (the naive check, cubic in the
     # length, stays with the cap-48 case)
-    ctx7 = ModulusContext(7)
-    for ctx, fam, m in [(ctx, sum_plus_c_prod(ctx, 2), 1), (ctx7, power_sums(ctx7, 2), 2)]:
-        out = longest_avoiding_word(ctx, fam, m, 5000)
+    for fam, m in [(sum_plus_c_prod(ctx, 2), 1), (power_sums(ModulusContext(7), 2), 2)]:
+        out = longest_avoiding_word(fam, m, 5000)
         assert (out.status, len(out.longest_word)) == (CAP_REACHED, 5000)
 
 
@@ -103,13 +102,12 @@ def test_budget_exhaustion_is_flagged():
     out = search(3, 1, 2, cap=64, max_nodes=50)
     assert out.status == CAP_REACHED
     assert out.budget_exhausted
-    assert len(out.longest_word) == out.cap
     ctx = ModulusContext(3)
     assert_avoids(ctx, sum_plus_c_prod(ctx, 1), 2, out.longest_word)
     # the deadline is read at the root and then every 2,048 nodes, so a
     # search that starts after its deadline does no work
     out = search(3, 1, 2, cap=64, deadline=time.monotonic() - 1)
-    assert out == SearchOutcome(None, (), 1, 0, "deadline")
+    assert out == SearchOutcome(None, (), 1, "deadline")
 
 
 def test_cap_below_two_rejected():
@@ -269,6 +267,15 @@ def test_mine_alphabet_is_a_set():
         mine_witness(ctx, fam, 1, 2, alphabet=[])
 
 
+def test_mine_rejects_a_modulus_that_is_not_the_familys():
+    # the family carries its modulus: a different ctx would enumerate the
+    # wrong alphabet and report a complete enumeration with no witness
+    ctx5, ctx7 = ModulusContext(5), ModulusContext(7)
+    for fam, p_max in [(sum_plus_c_prod(ctx7, 0), 3), (power_sums(ctx7, 2), 2)]:
+        with pytest.raises(PreconditionError):
+            mine_witness(ctx5, fam, 1, p_max)
+
+
 def test_mined_witnesses_carry_recheckable_certificates():
     ctx = ModulusContext(13)
     res = mine_witness(ctx, sum_plus_c_prod(ctx, 1), 1, 2)
@@ -312,9 +319,10 @@ def test_xyr_constructive_and_brute_force_agree():
         sol = xyr_solve(p)
         assert (sol.x + sol.r * sol.y) % p == 0
         assert sol.x * pow(sol.y, sol.r, p) % p == 1
-        brute = xyr_solve(p, method="brute-force")
-        assert (brute.x + brute.r * brute.y) % p == 0
-        assert brute.x * pow(brute.y, brute.r, p) % p == 1
+        # r = 2 needs x^3 = 4, and both take the least cube root of 4
+        x, y, r = xyr_brute_force(p)
+        assert (x + r * y) % p == 0 and x * pow(y, r, p) % p == 1
+        assert r == sol.r and (r == 3 or (x, y) == (sol.x, sol.y))
 
 
 def test_build_xyr_witness():
@@ -329,12 +337,12 @@ def test_vector_valued_search_matches_oracle():
     oracle_threshold, _ = bfs_threshold_tables(n, tables, 1)
     ctx = ModulusContext(n)
     fam = transformation_sums(ctx, tables)
-    out = longest_avoiding_word(ctx, fam, 1, cap=32)
+    out = longest_avoiding_word(fam, 1, cap=32)
     assert out.status == EXHAUSTED
     assert out.threshold == oracle_threshold
     # below the known threshold the DFS must reach its cap, not exhaust
     if oracle_threshold > 4:
-        capped = longest_avoiding_word(ctx, fam, 1, cap=oracle_threshold - 2)
+        capped = longest_avoiding_word(fam, 1, cap=oracle_threshold - 2)
         assert capped.status == CAP_REACHED
         assert len(capped.longest_word) == oracle_threshold - 2
 
@@ -349,43 +357,43 @@ def digits(s):
 # cap 24, or (n, c, m, cap, max_nodes).
 PINNED_OUTCOMES = [
     ((6, 1, None), SearchOutcome(
-        18, (0, 1, 0, 3, 1, 4, 1, 1, 4, 1, 4, 1, 1, 4, 2, 5, 2), 23_392, 24,
+        18, (0, 1, 0, 3, 1, 4, 1, 1, 4, 1, 4, 1, 1, 4, 2, 5, 2), 23_392,
         "exhausted")),
     ((6, 0, None), SearchOutcome(
-        12, (0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0), 12_662, 24, "exhausted")),
+        12, (0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0), 12_662, "exhausted")),
     ((6, 5, 40_000), SearchOutcome(
         None,
-        (1, 4, 1, 1, 5, 1, 4, 2, 5, 3, 5, 2, 4, 1, 5, 1, 1, 4, 1), 40_000, 19,
+        (1, 4, 1, 1, 5, 1, 4, 2, 5, 3, 5, 2, 4, 1, 5, 1, 1, 4, 1), 40_000,
         "nodes")),
     ((7, 6, None), SearchOutcome(
         None,
         (0, 1, 0, 1, 2, 5, 2, 5, 2, 5, 2, 1, 0, 1, 4, 3, 4, 3, 4, 3, 4, 3, 4, 3),
-        6_181, 24, "cap")),
+        6_181, "cap")),
     ((3, 1, 2, 200, 20_000), SearchOutcome(
         None,
         digits("00010002000200210020002000200010002"),
-        20_000, 35, "nodes")),
+        20_000, "nodes")),
     ((4, 3, 2, 200, 20_000), SearchOutcome(
         None,
         digits(
             "000100010001000100010001000100021000100010001003010023100100"
             "1310001000"
         ),
-        20_000, 70, "nodes")),
+        20_000, "nodes")),
     ((5, 4, 2, 200, 20_000), SearchOutcome(
         None,
         digits(
             "000100010001000100010001000100010001000210001000100010001000"
             "10001000100010001310001000"
         ),
-        20_000, 86, "nodes")),
+        20_000, "nodes")),
     ((3, 1, 3, 200, 20_000), SearchOutcome(
         None,
         digits(
             "000001000001000001000001000001000001000001000001000002000100"
             "0010000012001000001010001000001000120020000100000100021000"
         ),
-        20_000, 118, "nodes")),
+        20_000, "nodes")),
 ]
 
 
@@ -401,7 +409,7 @@ def test_f_c_matches_bfs_oracle(n, m):
     ctx = ModulusContext(n)
     for c in range(n):
         fam = sum_plus_c_prod(ctx, c)
-        out = longest_avoiding_word(ctx, fam, m, cap=24)
+        out = longest_avoiding_word(fam, m, cap=24)
         assert_avoids(ctx, fam, m, out.longest_word)
         if out.status == EXHAUSTED:
             # BFS levels are in lexicographic order, and so is the DFS
@@ -422,7 +430,7 @@ def test_f_c_matches_bfs_oracle(n, m):
 def test_transformation_sums_match_bfs_oracle(n, tables, m):
     ctx = ModulusContext(n)
     fam = transformation_sums(ctx, tables)
-    out = longest_avoiding_word(ctx, fam, m, cap=24)
+    out = longest_avoiding_word(fam, m, cap=24)
     assert out.status == EXHAUSTED
     assert (out.threshold, out.longest_word) == bfs_threshold_tables(n, tables, m)
     assert_avoids(ctx, fam, m, out.longest_word)
@@ -433,7 +441,7 @@ def test_power_sums_match_bfs_oracle(n, m):
     ctx = ModulusContext(n)
     fam = power_sums(ctx, 2)
     tables = (tuple(range(n)), tuple(x * x % n for x in range(n)))
-    out = longest_avoiding_word(ctx, fam, m, cap=24)
+    out = longest_avoiding_word(fam, m, cap=24)
     assert out.status == EXHAUSTED
     assert (out.threshold, out.longest_word) == bfs_threshold_tables(n, tables, m)
     assert_avoids(ctx, fam, m, out.longest_word)
@@ -464,7 +472,7 @@ def bfs_threshold_e_r(n, r, m, max_len=32):
 def test_elementary_symmetric_matches_bfs_oracle(n, m):
     ctx = ModulusContext(n)
     fam = elementary_symmetric_family(ctx, 2)
-    out = longest_avoiding_word(ctx, fam, m, cap=24)
+    out = longest_avoiding_word(fam, m, cap=24)
     assert out.status == EXHAUSTED
     assert (out.threshold, out.longest_word) == bfs_threshold_e_r(n, 2, m)
     assert_avoids(ctx, fam, m, out.longest_word)
@@ -473,24 +481,23 @@ def test_elementary_symmetric_matches_bfs_oracle(n, m):
 def test_elementary_symmetric_cap_reached_word_avoids():
     ctx = ModulusContext(3)
     fam = elementary_symmetric_family(ctx, 2)
-    out = longest_avoiding_word(ctx, fam, 2, cap=16)
+    out = longest_avoiding_word(fam, 2, cap=16)
     assert out.status == CAP_REACHED and not out.budget_exhausted
     assert len(out.longest_word) == 16
     assert_avoids(ctx, fam, 2, out.longest_word)
 
 
-def set_search(n, c, cap=24, **kw):
-    ctx = ModulusContext(n)
-    return suffix_set_search(ctx, sum_plus_c_prod(ctx, c), cap, **kw)
+def set_search(n, c, **kw):
+    return suffix_set_search(sum_plus_c_prod(ModulusContext(n), c), **kw)
 
 
-def assert_same_as_dfs(ctx, fam, found):
+def assert_same_as_dfs(fam, found):
     """The set search's outcome is the exhausted DFS's, up to the count."""
-    dfs = longest_avoiding_word(ctx, fam, 1, cap=24)
+    dfs = longest_avoiding_word(fam, 1, cap=24)
     assert dfs.status == EXHAUSTED
     assert found.certificate is None
     assert found.outcome == SearchOutcome(
-        dfs.threshold, dfs.longest_word, found.states, 24, "exhausted"
+        dfs.threshold, dfs.longest_word, found.states, "exhausted"
     )
 
 
@@ -503,13 +510,13 @@ def test_suffix_set_search_matches_dfs_and_oracle_on_f_c():
         ctx = ModulusContext(n)
         for c in range(n):
             fam = sum_plus_c_prod(ctx, c)
-            found = suffix_set_search(ctx, fam, 24, max_nodes=20_000)
+            found = suffix_set_search(fam, max_nodes=20_000)
             if found.certificate is not None:
-                assert longest_avoiding_word(ctx, fam, 1, cap=24).status == CAP_REACHED
+                assert longest_avoiding_word(fam, 1, cap=24).status == CAP_REACHED
                 assert found.certificate.verdict == AVOIDING
                 cycles += 1
                 continue
-            assert_same_as_dfs(ctx, fam, found)
+            assert_same_as_dfs(fam, found)
             if n <= 4:
                 assert (found.outcome.threshold, found.outcome.longest_word) == bfs_threshold(n, c, 1)
     assert cycles == 7
@@ -519,10 +526,10 @@ def test_suffix_set_search_folds_the_tree():
     # F_0 mod 7: the DFS takes 151,946 nodes, the sets of suffix sums are 128
     ctx = ModulusContext(7)
     fam = sum_plus_c_prod(ctx, 0)
-    found = suffix_set_search(ctx, fam, 24)
+    found = suffix_set_search(fam)
     assert found.states == 128
     assert found.outcome.threshold == 14
-    assert_same_as_dfs(ctx, fam, found)
+    assert_same_as_dfs(fam, found)
     found = set_search(6, 5)
     assert (found.outcome.threshold, found.states) == (20, 5_783)
 
@@ -538,8 +545,8 @@ def test_suffix_set_search_folds_the_tree():
 def test_suffix_set_search_matches_on_transformation_sums(n, tables):
     ctx = ModulusContext(n)
     fam = transformation_sums(ctx, tables)
-    found = suffix_set_search(ctx, fam, 24)
-    assert_same_as_dfs(ctx, fam, found)
+    found = suffix_set_search(fam)
+    assert_same_as_dfs(fam, found)
     if n <= 3:
         want = bfs_threshold_tables(n, tables, 1)
         assert (found.outcome.threshold, found.outcome.longest_word) == want
@@ -549,8 +556,8 @@ def test_suffix_set_search_matches_on_transformation_sums(n, tables):
 def test_suffix_set_search_matches_on_power_sums(n):
     ctx = ModulusContext(n)
     fam = power_sums(ctx, 2)
-    found = suffix_set_search(ctx, fam, 24)
-    assert_same_as_dfs(ctx, fam, found)
+    found = suffix_set_search(fam)
+    assert_same_as_dfs(fam, found)
     if n <= 3:
         tables = (tuple(range(n)), tuple(x * x % n for x in range(n)))
         want = bfs_threshold_tables(n, tables, 1)
@@ -590,19 +597,17 @@ def test_suffix_set_search_budgets():
     assert (out.states, out.certificate) == (1000, None)
     assert out.outcome == SearchOutcome(
         None, (0, 1, 0, 1, 0, 2, 0, 1, 0, 1, 4, 3, 4, 3, 4, 3, 4, 3, 4, 3),
-        1000, 20, "sets",
+        1000, "sets",
     )
     assert_avoids(ctx, sum_plus_c_prod(ctx, 6), 1, out.outcome.longest_word)
     # the deadline is read at the root and then every 64 sets
     out = set_search(7, 6, deadline=time.monotonic() - 1)
     assert (out.states, out.certificate) == (1, None)
-    assert out.outcome == SearchOutcome(None, (), 1, 0, "deadline")
+    assert out.outcome == SearchOutcome(None, (), 1, "deadline")
     out = set_search(7, 6, deadline=time.monotonic() + 0.05)
     assert out.states == 1 or out.states % 64 == 0
     assert out.certificate is None and out.outcome.stop == "deadline"
     assert out.outcome.nodes_expanded == out.states
-    with pytest.raises(PreconditionError):
-        set_search(2, 0, cap=1)
 
 
 def test_f0_at_m1_is_the_pigeonhole_word():
@@ -627,10 +632,10 @@ def test_f0_at_m1_is_the_pigeonhole_word():
 def test_outcome_record_is_pinned():
     # perfbench's spans.py and gate.py read status, budget_exhausted and
     # nodes_expanded off the outcome record of every classification
-    cap = {"threshold": None, "longest_word": [0, 1, 0, 1], "nodes_expanded": 5, "cap": 4,
+    cap = {"threshold": None, "longest_word": [0, 1, 0, 1], "nodes_expanded": 5,
            "stop": "cap", "status": "cap_reached", "budget_exhausted": False}
     sets = {**cap, "stop": "sets", "budget_exhausted": True}
-    exhausted = {"threshold": 4, "longest_word": [0, 1, 0], "nodes_expanded": 6, "cap": 32,
+    exhausted = {"threshold": 4, "longest_word": [0, 1, 0], "nodes_expanded": 6,
                  "stop": "exhausted", "status": "exhausted", "budget_exhausted": False}
     for out, record in [
         (search(7, 6, 1, cap=4), cap),

@@ -35,6 +35,7 @@ from oracles import (
     naive_block_sum,
     naive_f_c,
     naive_value,
+    unroll,
     vanishing_windows,
 )
 
@@ -130,7 +131,7 @@ def test_certificate_scan_cross_check():
         ctx = ModulusContext(n)
         fam = sum_plus_c_prod(ctx, c)
         length = 4 * m * cert.checked_max_l
-        word = PeriodicWord(period, n).unroll(length)
+        word = unroll(period, length)
         assert scan_word(word, fam, m) == []
 
 
@@ -147,7 +148,7 @@ def test_lockstep_states_match_direct_blocks():
     ctx = ModulusContext(12)
     fam = sum_plus_c_prod(ctx, 11)
     period = (2, 10, 7)
-    word = PeriodicWord(period, 12).unroll(100)
+    word = unroll(period, 100)
     for l, states in lockstep_states(period, fam, 29):
         for s, (total, prod) in enumerate(states):
             assert (total + 11 * prod) % 12 == naive_f_c(word[s : s + l], 12, 11)
@@ -383,7 +384,7 @@ def test_reduce_witness_soundness_empirical():
     assert cert9.verdict == AVOIDING
     ctx18 = ModulusContext(18)
     fam18 = sum_plus_c_prod(ctx18, 1)
-    word = PeriodicWord((7, 4, 4), 18).unroll(500)
+    word = unroll((7, 4, 4), 500)
     assert scan_word(word, fam18, 1) == []
 
 
@@ -455,8 +456,10 @@ def test_load_rejects_a_malformed_family(tmp_path):
     )]
     # the right keys with values of the wrong type, and a record that is a list
     bad += [{**d, "period": ["a"]}, {**d, "n": "12"}, {**d, "m": "1"}, [d]]
-    for record in bad:
-        path.write_text(json.dumps(record))
+    # a truncated file and one that is not JSON at all
+    texts = [json.dumps(record) for record in bad] + ['{"version": 1, "n": 12', "certificate"]
+    for text in texts:
+        path.write_text(text)
         with pytest.raises(PreconditionError):
             load_certificate(path, recheck=True)
 

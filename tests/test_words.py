@@ -49,17 +49,6 @@ def test_block_values_match_naive_folds():
         assert block_sum_product(blk, n) == (naive_block_sum(blk, n), naive_block_product(blk, n))
 
 
-def test_unroll_examples():
-    pw = PeriodicWord((3, 13), 16)
-    assert pw.unroll(5) == (3, 13, 3, 13, 3)
-    pw = PeriodicWord((5, 3, 3), 11)
-    assert pw.unroll(7) == (5, 3, 3, 5, 3, 3, 5)
-    pw = PeriodicWord((4,), 9)
-    assert pw.unroll(3) == (4, 4, 4)
-    with pytest.raises(PreconditionError):
-        pw.unroll(0)
-
-
 def test_periodic_word_negative_literals_reduce():
     pw = PeriodicWord((3, -3), 16)
     assert pw.period == (3, 13)
