@@ -455,6 +455,10 @@ def reproduce_table(
 
 
 def render_table(report: TableReport) -> str:
+    """One line per cell, then the cells and summed elapsed_ms of each
+    outcome ("witness" for a non-vanishing proof, else the search's stop),
+    then the number of contradictions."""
+    spent = {k: [0, 0] for k in ("witness", EXHAUSTED, "cap", "nodes", "sets", "deadline")}
     lines = []
     header = f"{'n':>3} {'c':>3} {'m':>2}  {'verdict':22} {'provenance':10} {'detail'}"
     lines.append(header)
@@ -462,21 +466,26 @@ def render_table(report: TableReport) -> str:
     for cell in report.cells:
         cls = cell.classification
         if cls.verdict == NONVANISHING_PROVED:
-            detail = "witness " + ",".join(map(str, cls.witness))
+            stop, detail = "witness", "witness " + ",".join(map(str, cls.witness))
         elif cls.verdict == VANISHING_PROVED:
-            detail = f"threshold {cls.threshold}"
+            stop, detail = EXHAUSTED, f"threshold {cls.threshold}"
         else:
             out = cls.outcome
-            detail = {
+            stop, detail = out.stop, {
                 "cap": f"cap reached at length {len(out.longest_word)}",
                 "nodes": f"node budget after {out.nodes_expanded} nodes",
                 "sets": f"set budget after {out.nodes_expanded} sets",
                 "deadline": f"time budget after {out.nodes_expanded} nodes or sets",
             }[out.stop]
+        spent[stop][0] += 1
+        spent[stop][1] += cls.elapsed_ms
         if cell.contradiction:
             detail += "  ** CONTRADICTS KNOWN CLASSIFICATION **"
         lines.append(
             f"{cls.n:>3} {cls.c:>3} {cls.m:>2}  {cls.verdict:22} {str(cls.provenance):10} {detail}"
         )
+    lines.append("time by outcome: " + ", ".join(
+        f"{stop} {cells} cells {ms} ms" for stop, (cells, ms) in spent.items() if cells
+    ))
     lines.append(f"{len(report.contradictions)} contradiction(s)")
     return "\n".join(lines)

@@ -119,7 +119,7 @@ def cmd_verify(args) -> int:
 
 def cmd_search(args) -> int:
     fam = parse_family(args.family, ModulusContext(args.n))
-    deadline = time.monotonic() + args.budget_ms / 1000.0 if args.budget_ms else None
+    deadline = time.monotonic() + args.budget_ms / 1000.0 if args.budget_ms is not None else None
     out = longest_avoiding_word(fam, args.m, args.cap, max_nodes=args.max_nodes, deadline=deadline)
     print(f"status: {out.status}")
     print(f"stop: {out.stop}")
@@ -135,7 +135,7 @@ def cmd_search(args) -> int:
 def cmd_mine(args) -> int:
     ctx = ModulusContext(args.n)
     fam = parse_family(args.family, ctx)
-    deadline = time.monotonic() + args.budget_ms / 1000.0 if args.budget_ms else None
+    deadline = time.monotonic() + args.budget_ms / 1000.0 if args.budget_ms is not None else None
     res = mine_witness(ctx, fam, args.m, args.pmax, deadline=deadline, limit=args.limit)
     cache_dir = resolve_cache_dir(args.cache_dir)
     artifacts = []
@@ -224,6 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache-dir", default=None,
                        help=f"proof artifact directory (default ${CACHE_ENV} or .blockzero_cache)")
 
+    def classify_budgets(p):
+        p.add_argument("--budget-ms", type=int, default=60_000)
+        p.add_argument("--cap", type=int, default=24)
+        p.add_argument("--pmax", type=int, default=4)
+        p.add_argument("--max-nodes", type=int, default=300_000,
+                       help="the tree DFS's node budget at m >= 2, and the set search's "
+                            "budget of suffix-state sets at m = 1")
+
     p = sub.add_parser("eval", help="evaluate a family on one block")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--family", required=True)
@@ -263,10 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--m", type=int, default=1)
-    p.add_argument("--budget-ms", type=int, default=60_000)
-    p.add_argument("--cap", type=int, default=24)
-    p.add_argument("--pmax", type=int, default=4)
-    p.add_argument("--max-nodes", type=int, default=300_000)
+    classify_budgets(p)
     common(p)
     p.set_defaults(func=cmd_classify)
 
@@ -277,10 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="classify a grid and compare with the known table")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--m-set", default="1,2")
-    p.add_argument("--budget-ms", type=int, default=60_000)
-    p.add_argument("--cap", type=int, default=24)
-    p.add_argument("--pmax", type=int, default=4)
-    p.add_argument("--max-nodes", type=int, default=300_000)
+    classify_budgets(p)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json-out", default=None)
     common(p)

@@ -232,11 +232,16 @@ def suffix_set_search(
     A set is an int bitmask over the ids of the closure of the one-symbol
     states.  Per-byte tables give, for each 8 ids, the OR of their
     vanishing masks and of their child bits under every symbol, packed in
-    one int, so a set's forbidden symbols and children take one lookup per
-    byte of its mask.  Each set entered counts against max_nodes; no cap
-    applies, since a proof does not depend on depth.  A budget stop is a
-    CAP_REACHED outcome with stop "sets" or "deadline", the sets entered
-    as its node count, and the first longest word the search walked.
+    one int.  A set's acc ORs one entry per byte of its mask with the bits
+    of the one-symbol blocks: its forbidden symbols sit above the child
+    masks, and child a, acc >> a*K & full, is computed when the walk reads
+    that arc.  One memo serves the path and the finished sets: longest[S]
+    is ~depth (negative) while S is on the path, so an arc to S closes a
+    cycle whose period starts at word[~depth:], and then S's longest path.
+    Each set entered counts against max_nodes; no cap applies, since a
+    proof does not depend on depth.  A budget stop is a CAP_REACHED
+    outcome with stop "sets" or "deadline", the sets entered as its node
+    count, and the first longest word the search walked.
     """
     n = fam.ctx.n
     table = _StateTable(fam)
@@ -260,76 +265,69 @@ def suffix_set_search(
             t[b] = t[b ^ low] | packed[8 * k + low.bit_length() - 1]
         byte_tables.append(t)
 
-    # (a, shift of a's child mask, bit of the one-symbol block (a)); the
-    # arcs each forbidden mask leaves are kept for the first 4,096 masks
-    # met, so the cache stays small at large n
-    arcs = [(a, a * K, 1 << j) for a, j in enumerate(table.singles)]
-    allowed_by_mask: dict[int, list[tuple[int, int, int]]] = {}
+    singles = sum(1 << (a * K + j) for a, j in enumerate(table.singles))
+    # the (a, shift of a's child) arcs each forbidden mask leaves, kept for
+    # the first 4,096 masks met, so the cache stays small at large n
+    allowed_by_mask: dict[int, list[tuple[int, int]]] = {}
 
-    def children(S: int) -> list[tuple[int, int]]:
-        """(a, child set) for each symbol a allowed after the set S."""
-        acc = reduce(or_, map(getitem, byte_tables, S.to_bytes(nbytes, "little")), 0)
+    def arcs(S: int) -> tuple:
+        """acc of the set S, and an iterator over the arcs it allows."""
+        acc = reduce(or_, map(getitem, byte_tables, S.to_bytes(nbytes, "little")), singles)
         forbidden = acc >> top
         allowed = allowed_by_mask.get(forbidden)
         if allowed is None:
-            allowed = [arc for arc in arcs if not forbidden >> arc[0] & 1]
+            allowed = [(a, a * K) for a in range(n) if not forbidden >> a & 1]
             if len(allowed_by_mask) < 4096:
                 allowed_by_mask[forbidden] = allowed
-        return [(a, acc >> shift & full | single) for a, shift, single in allowed]
+        return acc, iter(allowed)
 
-    # longest[S]: the longest path from S, final once S leaves the path;
-    # a set on the path holds 0, and its running maximum is kept in best
-    # (in its stack entry while a child is being searched)
-    longest = {0: 0}
-    path = {0: 0}  # set on the current path -> its depth
+    # the running maximum of a set on the path is kept in best (in its
+    # stack entry while a child is searched), not in longest
+    longest = {0: ~0}
     word: list[int] = []
     deepest: tuple[int, ...] = ()  # the first longest word on the path so far
-    stack: list[tuple] = []  # (set, remaining children, best) of each parent of S
+    stack: list[tuple] = []  # (set, acc, remaining arcs, best) of each parent of S
     limit = max_nodes if max_nodes is not None else float("inf")
-    S, todo, best = 0, iter(children(0)), 0  # the empty word: no suffixes
-    # the deadline is read at the root and then every 64 sets, so a search
-    # that starts after its deadline does no work and one that runs past
-    # it overshoots by well under a millisecond
+    S, best, (acc, todo) = 0, 0, arcs(0)  # the empty word: no suffixes
+    # the deadline is read at the root and then every 64 sets: a search that
+    # starts late does no work, and one that runs past it overshoots < 1 ms
     stop = None
     if limit <= 1 or (deadline is not None and time.monotonic() > deadline):
         stop = "sets" if limit <= 1 else "deadline"
     while stop is None:
-        for a, child in todo:
-            if child in path:
-                period = tuple(word[path[child]:]) + (a,)
+        for a, shift in todo:
+            child = acc >> shift & full
+            done = longest.get(child)
+            if done is None:
+                stack.append((S, acc, todo, best))
+                word.append(a)
+                S, best, (acc, todo) = child, 0, arcs(child)
+                longest[S] = ~len(word)
+                if len(word) > len(deepest):
+                    deepest = tuple(word)
+                states = len(longest)
+                if states >= limit:
+                    stop = "sets"
+                elif states % 64 == 0 and deadline is not None and time.monotonic() > deadline:
+                    stop = "deadline"
+                break
+            if done < 0:
+                period = tuple(word[~done:]) + (a,)
                 cert = verify_periodic(PeriodicWord(period, n), fam, 1)
                 if cert.verdict != AVOIDING:
                     raise InternalInvariantError(
                         f"cycle period {period} is {cert.verdict} at m = 1"
                     )
                 return SuffixSetResult(len(longest), certificate=cert)
-            done = longest.get(child)
-            if done is None:
-                stack.append((S, todo, best))
-                word.append(a)
-                S, todo, best = child, iter(children(child)), 0
-                longest[S] = 0
-                path[S] = len(word)
-                if len(word) > len(deepest):
-                    deepest = tuple(word)
-                states = len(longest)
-                if states >= limit or (
-                    deadline is not None
-                    and states % 64 == 0
-                    and time.monotonic() > deadline
-                ):
-                    stop = "sets" if states >= limit else "deadline"
-                break
             if done >= best:
                 best = done + 1
         else:
             longest[S] = best
-            del path[S]
             if not stack:
                 break
             word.pop()
             done = best
-            S, todo, best = stack.pop()
+            S, acc, todo, best = stack.pop()
             if done >= best:
                 best = done + 1
     if stop is not None:
@@ -339,7 +337,9 @@ def suffix_set_search(
         # whose child keeps the maximum, from the root down
         best_word, S = [], 0
         while longest[S]:
-            a, S = next((a, ch) for a, ch in children(S) if longest[ch] == longest[S] - 1)
+            acc, todo = arcs(S)
+            want = longest[S] - 1
+            a, S = next((a, ch) for a, shift in todo if longest[ch := acc >> shift & full] == want)
             best_word.append(a)
         outcome = SearchOutcome(longest[0] + 1, tuple(best_word), len(longest), EXHAUSTED)
     return SuffixSetResult(len(longest), outcome=outcome)
@@ -415,8 +415,8 @@ def mine_witness(
     """
     if ctx != fam.ctx:
         raise PreconditionError(f"{ctx} is not the family's modulus {fam.ctx}")
-    if p_max < 1:
-        raise PreconditionError(f"p_max must be >= 1, got {p_max}")
+    if p_max < 1 or (limit is not None and limit < 1):
+        raise PreconditionError(f"p_max and limit must be >= 1, got {p_max} and {limit}")
     n = ctx.n
     symbols = tuple(sorted({a % n for a in alphabet})) if alphabet is not None else tuple(range(n))
     if not symbols:

@@ -475,6 +475,31 @@ def test_render_table_says_what_stopped_each_unknown_cell():
     assert lines[7].endswith("time budget after 2048 nodes or sets")
 
 
+def test_render_table_sums_the_time_of_each_outcome():
+    def cell(verdict, elapsed_ms, stop=None, **kw):
+        out = SearchOutcome(None, (0,) * 4, 10, stop) if stop else None
+        cls = Classification(7, 1, 1, verdict, None, outcome=out, elapsed_ms=elapsed_ms, **kw)
+        return CellResult(cls, None, False)
+
+    report = TableReport((
+        cell(UNKNOWN, 1500, "sets"),
+        cell(NONVANISHING_PROVED, 3, witness=(2, 3)),
+        cell(VANISHING_PROVED, 40, "exhausted", threshold=14),
+        cell(UNKNOWN, 7, "cap"),
+        cell(NONVANISHING_PROVED, 1, witness=(1, 5)),
+        cell(UNKNOWN, 9, "cap"),
+        cell(UNKNOWN, 2000, "sets"),
+    ), ())
+    lines = render_table(report).splitlines()
+    # in a fixed order, and an outcome with no cells ("nodes", "deadline")
+    # is left out
+    assert lines[-2] == (
+        "time by outcome: witness 2 cells 4 ms, exhausted 1 cells 40 ms, "
+        "cap 2 cells 16 ms, sets 2 cells 3500 ms"
+    )
+    assert lines[-1] == "0 contradiction(s)"
+
+
 def test_classification_round_trip():
     cells = [
         classify(12, 1, 1),

@@ -94,6 +94,18 @@ def test_search_budget_exit(capsys, cache):
     assert "stop: nodes" in out
 
 
+def test_zero_budget_ms_is_a_deadline(capsys, cache):
+    # --budget-ms 0 is a deadline that has passed, not "no deadline"
+    code, out, _ = run(capsys, "search", "--n", "2", "--family", "sum_plus_c_prod:0",
+                       "--budget-ms", "0")
+    assert code == EXIT_BUDGET
+    assert "stop: deadline" in out
+    code, out, _ = run(capsys, "mine", "--n", "5", "--family", "sum_plus_c_prod:1",
+                       "--budget-ms", "0")
+    assert code == EXIT_BUDGET
+    assert "enumeration_complete: False" in out
+
+
 def test_search_cap_stop_exits_budget(capsys, cache):
     # F_{-1} mod 7 reaches the cap with no node budget set: partial output
     code, out, _ = run(capsys, "search", "--n", "7", "--family", "sum_plus_c_prod:6",
@@ -180,6 +192,10 @@ def test_usage_errors(capsys, cache):
     code, _, err = run(capsys, "eval", "--n", "5", "--family", "sum_plus_c_prod:1",
                        "--block", "3")
     assert code == EXIT_USAGE
+    for limit in ("0", "-3"):
+        code, out, err = run(capsys, "mine", "--n", "12", "--family", "sum_plus_c_prod:1",
+                             "--limit", limit)
+        assert code == EXIT_USAGE and "witness" not in out and "limit" in err, limit
     # malformed tables: a number, a list of numbers, a string and a float entry
     for tables in ("3", "[3]", '[[0,1,"a"]]', "[[0,1,2.5]]"):
         code, _, err = run(capsys, "eval", "--n", "3", "--family",

@@ -276,6 +276,18 @@ def test_mine_rejects_a_modulus_that_is_not_the_familys():
             mine_witness(ctx5, fam, 1, p_max)
 
 
+def test_mine_limit_below_one_is_rejected():
+    # a limit is checked only after a witness is appended, so limit <= 0
+    # used to return one witness
+    ctx = ModulusContext(12)
+    fam = sum_plus_c_prod(ctx, 1)
+    for limit in (0, -3):
+        with pytest.raises(PreconditionError):
+            mine_witness(ctx, fam, 1, 2, limit=limit)
+    res = mine_witness(ctx, fam, 1, 2, limit=1)
+    assert (len(res.witnesses), res.complete) == (1, False)
+
+
 def test_mined_witnesses_carry_recheckable_certificates():
     ctx = ModulusContext(13)
     res = mine_witness(ctx, sum_plus_c_prod(ctx, 1), 1, 2)
@@ -564,11 +576,15 @@ def test_suffix_set_search_matches_on_power_sums(n):
         assert (found.outcome.threshold, found.outcome.longest_word) == want
 
 
-@pytest.mark.parametrize("n,c", [(5, 1), (6, 2), (12, 1)])
-def test_suffix_set_cycle_is_a_certified_period(n, c):
+@pytest.mark.parametrize(
+    "n,c,states,period",
+    [(5, 1, 20, (2, 3)), (6, 2, 119, (1, 5)), (12, 1, 50, (1, 1, 10, 2, 10, 1, 1, 10, 2, 10))],
+)
+def test_suffix_set_cycle_is_a_certified_period(n, c, states, period):
     found = set_search(n, c, max_nodes=10_000)
     cert = found.certificate
     assert found.outcome is None and cert is not None
+    assert (found.states, cert.period) == (states, period)
     assert cert.verdict == AVOIDING and recheck_certificate(cert)
     naive = first_vanishing_window(
         cert.period, 1, cert.checked_max_l, lambda b: naive_f_c(b, n, c) == 0
@@ -608,6 +624,22 @@ def test_suffix_set_search_budgets():
     assert out.states == 1 or out.states % 64 == 0
     assert out.certificate is None and out.outcome.stop == "deadline"
     assert out.outcome.nodes_expanded == out.states
+
+
+def test_suffix_set_walk_is_pinned():
+    # the walk's visiting order decides the set a budget stops at and the
+    # first longest word: grid_m1's UNKNOWN cell (7, 6, 1) and (8, 1, 1),
+    # the largest m = 1 cell the n <= 18 grid exhausts
+    out = set_search(7, 6, max_nodes=40_000)
+    assert out.states == 40_000 and out.outcome == SearchOutcome(
+        None, (0, 1, 0, 2, 6, 3, 6, 5, 2, 6, 3, 6, 5, 6, 3, 6, 2, 5, 6, 3, 6),
+        40_000, "sets",
+    )
+    out = set_search(8, 1)
+    assert out.states == 264_712 and out.outcome == SearchOutcome(
+        26, (1, 1, 1, 5, 1, 1, 6, 1, 2, 5, 1, 1, 4, 6, 1, 1, 1, 5, 1, 1, 6, 1, 2, 5, 1),
+        264_712, "exhausted",
+    )
 
 
 def test_f0_at_m1_is_the_pigeonhole_word():
