@@ -576,15 +576,20 @@ def test_suffix_set_search_matches_on_power_sums(n):
         assert (found.outcome.threshold, found.outcome.longest_word) == want
 
 
-@pytest.mark.parametrize(
-    "n,c,states,period",
-    [(5, 1, 20, (2, 3)), (6, 2, 119, (1, 5)), (12, 1, 50, (1, 1, 10, 2, 10, 1, 1, 10, 2, 10))],
-)
-def test_suffix_set_cycle_is_a_certified_period(n, c, states, period):
+# (n, c) -> (states walked, certified period) of the walk's first cycle
+CYCLE_PINS = {
+    (5, 1): (20, (2, 3)),
+    (6, 2): (119, (1, 5)),
+    (12, 1): (50, (1, 1, 10, 2, 10, 1, 1, 10, 2, 10)),
+}
+
+
+@pytest.mark.parametrize("n,c", list(CYCLE_PINS))
+def test_suffix_set_cycle_is_a_certified_period(n, c):
     found = set_search(n, c, max_nodes=10_000)
     cert = found.certificate
     assert found.outcome is None and cert is not None
-    assert (found.states, cert.period) == (states, period)
+    assert (found.states, cert.period) == CYCLE_PINS[n, c]
     assert cert.verdict == AVOIDING and recheck_certificate(cert)
     naive = first_vanishing_window(
         cert.period, 1, cert.checked_max_l, lambda b: naive_f_c(b, n, c) == 0
