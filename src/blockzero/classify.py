@@ -22,7 +22,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 
 from .families import FunctionalFamily, sum_plus_c_prod
@@ -32,6 +32,7 @@ from .search import (
     InternalInvariantError,
     SearchOutcome,
     build_xyr_witness,
+    from_record,
     longest_avoiding_word,
     mine_witness,
     suffix_set_search,
@@ -140,17 +141,35 @@ def catalog_witness(n: int, c: int, m: int) -> PeriodicWord | None:
 
 @dataclass(frozen=True)
 class Classification:
+    """The verdict of cell (n, c, m), read off the one proof it carries:
+    an avoiding certificate makes it NONVANISHING_PROVED with the
+    certificate's period as witness, an exhausted outcome VANISHING_PROVED
+    with the outcome's threshold, and any other outcome UNKNOWN.  Both
+    proofs or neither, or a refuted certificate, raise ValueError."""
+
     n: int
     c: int
     m: int
-    verdict: str  # VANISHING_PROVED | NONVANISHING_PROVED | UNKNOWN
+    verdict: str = field(init=False)  # VANISHING_PROVED | NONVANISHING_PROVED | UNKNOWN
     provenance: str | None  # "catalog" | "miner" | "search"
-    threshold: int | None = None
-    witness: tuple[int, ...] | None = None
+    threshold: int | None = field(init=False)
+    witness: tuple[int, ...] | None = field(init=False)
     certificate: Certificate | None = None
     outcome: SearchOutcome | None = None
     nodes_expanded: int = 0
     elapsed_ms: int = 0
+
+    def __post_init__(self):
+        cert, out = self.certificate, self.outcome
+        if (cert is None) == (out is None):
+            raise ValueError("a classification carries one proof: a certificate or an outcome")
+        if cert and cert.verdict != AVOIDING:
+            raise ValueError(f"a {cert.verdict} certificate is no witness")
+        verdict = (NONVANISHING_PROVED if cert
+                   else VANISHING_PROVED if out.stop == EXHAUSTED else UNKNOWN)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "threshold", out.threshold if out else None)
+        object.__setattr__(self, "witness", cert.period if cert else None)
 
     def to_dict(self) -> dict:
         d = {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
@@ -160,14 +179,15 @@ class Classification:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Classification":
-        """The record to_dict wrote; a missing field without a default, or
-        an unknown key, raises TypeError, and a malformed certificate or
-        outcome raises what its own from_dict raises."""
+        """The record to_dict wrote (see search.from_record): a verdict,
+        threshold or witness that disagrees with the record's proof raises
+        ValueError, and a malformed certificate or outcome raises what its
+        own from_dict raises."""
         d = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
         cert, out = d.get("certificate"), d.get("outcome")
         d["certificate"] = Certificate.from_dict(cert) if cert else None
         d["outcome"] = SearchOutcome.from_dict(out) if out else None
-        return cls(**d)
+        return from_record(cls, d)
 
 
 def family_hash(fam: FunctionalFamily) -> str:
@@ -179,70 +199,57 @@ def _cache_path(cache_dir: str, n: int, fam: FunctionalFamily, m: int) -> str:
     return os.path.join(cache_dir, f"cls_{n}_{family_hash(fam)}_{m}.json")
 
 
+def _read_cached(path: str) -> Classification | None:
+    """The record at path, or None when there is none or it is truncated
+    or malformed."""
+    try:
+        with open(path) as fh:
+            return Classification.from_dict(json.load(fh))
+    except (FileNotFoundError, ValueError, KeyError, TypeError, AttributeError):
+        return None
+
+
 def _load_cached(path: str, n: int, fam: FunctionalFamily, m: int) -> Classification | None:
     """The cached proved verdict of cell (n, fam, m), or None to recompute.
 
     An entry is served only if it is about the requested cell and its
-    proof fits its verdict: an avoiding certificate of its witness equal
-    to the one verify_periodic derives afresh for the cell's own family,
-    or an exhausted search whose threshold is one past its longest word,
-    a word over Z_n with no vanishing m-window (scan_word); that no longer
-    word avoids is not re-derived.  An UNKNOWN records only that one
-    budget ran out, so it is never served: a later call may have more.
-    An unreadable or malformed file is a miss too: a record from before
-    outcomes had a stop, an outcome whose status or budget_exhausted
-    disagrees with its stop, or a proof that cannot be re-derived."""
-    if not os.path.exists(path):
-        return None
+    proof holds: a certificate equal to the one verify_periodic derives
+    afresh from its period for the cell's own family, or an exhausted
+    search whose longest word is a word over Z_n with no vanishing
+    m-window (scan_word); that no longer word avoids is not re-derived.
+    The record derives its verdict, threshold and witness from that proof.
+    An UNKNOWN records only that one budget ran out, so it is never
+    served: a later call may have more.  An unreadable or malformed file
+    is a miss too: a record from before outcomes had a stop, a copy of a
+    derived field that disagrees with its proof, or a proof that cannot
+    be re-derived."""
+    cls = _read_cached(path)
+    if cls is None or (cls.n, cls.c, cls.m) != (n, fam.c, m):
+        return None  # no record, or a file of another cell
+    cert, out = cls.certificate, cls.outcome
     try:
-        with open(path) as fh:
-            cls = Classification.from_dict(json.load(fh))
-        if (cls.n, cls.c, cls.m) != (n, fam.c, m):
-            return None  # a file of another cell
         if cls.verdict == NONVANISHING_PROVED:
-            cert = cls.certificate
-            ok = (
-                cert is not None
-                and cert.verdict == AVOIDING
-                and cert.period == cls.witness
-                and cert == verify_periodic(PeriodicWord(cls.witness, n), fam, m)
-            )
+            ok = cert == verify_periodic(PeriodicWord(cert.period, n), fam, m)
         elif cls.verdict == VANISHING_PROVED:
-            out = cls.outcome
-            ok = (
-                out is not None
-                and out.stop == EXHAUSTED
-                and cls.threshold == out.threshold == len(out.longest_word) + 1
-                and all(0 <= a < n for a in out.longest_word)
-                and not scan_word(out.longest_word, fam, m)
-            )
+            word = out.longest_word
+            ok = all(0 <= a < n for a in word) and not scan_word(word, fam, m)
         else:
             ok = False
-    except (ValueError, KeyError, TypeError, AttributeError):
-        return None  # truncated or hand-edited: recompute and replace it
+    except (ValueError, TypeError):
+        return None  # a hand-edited proof: recompute and replace it
     return cls if ok else None  # otherwise stale or corrupt: recompute
 
 
 def _save_cached(path: str, cls: Classification) -> None:
-    existing = None
-    if os.path.exists(path):
-        with open(path) as fh:
-            try:
-                existing = json.load(fh)
-            except ValueError:
-                pass  # unreadable: replaced below
-    if isinstance(existing, dict):
-        # a proved verdict of the same cell must not flip; a file of
-        # another cell, or a malformed one, at this path is simply replaced
-        proved = {VANISHING_PROVED, NONVANISHING_PROVED}
-        if (
-            (existing.get("n"), existing.get("c"), existing.get("m")) == (cls.n, cls.c, cls.m)
-            and existing.get("verdict") in proved
-            and cls.verdict in proved
-            and existing["verdict"] != cls.verdict
-        ):
+    """Write cls to path.  A proved verdict of the same cell there must not
+    flip; a file of another cell, or a missing or malformed one, is simply
+    replaced."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    old = _read_cached(path)
+    if old is not None and (old.n, old.c, old.m) == (cls.n, cls.c, cls.m):
+        if {old.verdict, cls.verdict} == {VANISHING_PROVED, NONVANISHING_PROVED}:
             raise ContradictionError(
-                f"cache at {path} holds {existing['verdict']} but new result is {cls.verdict}"
+                f"cache at {path} holds {old.verdict} but new result is {cls.verdict}"
             )
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
@@ -307,7 +314,7 @@ def _pigeonhole_outcome(fam: FunctionalFamily) -> SearchOutcome:
     word = (0, 1) * (n - 1) + (0,)
     if scan_word(word, fam, 1):
         raise InternalInvariantError(f"the pigeonhole word over Z_{n} has a vanishing block")
-    return SearchOutcome(2 * n, word, 0, EXHAUSTED)
+    return SearchOutcome(word, 0, EXHAUSTED)
 
 
 def classify(
@@ -336,7 +343,7 @@ def classify(
 
     t0 = time.monotonic()
     found = _witness(fam, m, p_max, t0 + 0.3 * budget_ms / 1000.0)
-    nodes = 0
+    outcome, nodes = None, 0
     if found is None:
         # at m = 1 F_0 has a closed form, and otherwise the graph of
         # suffix-state sets decides either way or reports its own
@@ -358,17 +365,10 @@ def classify(
     elapsed_ms = int((time.monotonic() - t0) * 1000)
     if found is not None:
         provenance, cert = found
-        cls = Classification(
-            n, c, m, NONVANISHING_PROVED, provenance, witness=cert.period,
-            certificate=cert, nodes_expanded=nodes, elapsed_ms=elapsed_ms,
-        )
     else:
-        exhausted = outcome.stop == EXHAUSTED
-        cls = Classification(
-            n, c, m, VANISHING_PROVED if exhausted else UNKNOWN, "search" if exhausted else None,
-            threshold=outcome.threshold, outcome=outcome,
-            nodes_expanded=outcome.nodes_expanded, elapsed_ms=elapsed_ms,
-        )
+        provenance, cert = "search" if outcome.stop == EXHAUSTED else None, None
+        nodes = outcome.nodes_expanded
+    cls = Classification(n, c, m, provenance, cert, outcome, nodes, elapsed_ms)
     if path:
         _save_cached(path, cls)
     return cls
@@ -376,30 +376,39 @@ def classify(
 
 @dataclass(frozen=True)
 class CellResult:
+    """A classified cell, with the known classification of its cell
+    (expected_verdict) and whether its verdict contradicts it."""
+
     classification: Classification
-    expected: str | None
-    contradiction: bool
+    expected: str | None = field(init=False)
+    contradiction: bool = field(init=False)
+
+    def __post_init__(self):
+        cls = self.classification
+        expected = expected_verdict(cls.n, cls.c, cls.m)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "contradiction", is_contradiction(cls, expected))
 
 
 @dataclass(frozen=True)
 class TableReport:
     cells: tuple[CellResult, ...]
-    contradictions: tuple[CellResult, ...]
     reproducer_paths: tuple[str, ...] = ()
+
+    @property
+    def contradictions(self) -> tuple[CellResult, ...]:
+        return tuple(cell for cell in self.cells if cell.contradiction)
 
 
 def is_contradiction(cls: Classification, expected: str | None) -> bool:
-    if expected == VANISHING and cls.verdict == NONVANISHING_PROVED:
-        return True
-    if expected == NONVANISHING and cls.verdict == VANISHING_PROVED:
-        return True
-    return False
+    flips = ((VANISHING, NONVANISHING_PROVED), (NONVANISHING, VANISHING_PROVED))
+    return (expected, cls.verdict) in flips
 
 
 def _cell_args(n_max, m_set):
     for n in range(2, n_max + 1):
         for c in dict.fromkeys((0, 1 % n, (n - 1) % n)):
-            for m in m_set:
+            for m in dict.fromkeys(m_set):
                 yield n, c, m
 
 
@@ -430,28 +439,19 @@ def reproduce_table(
             results = list(pool.map(classify, *args))
     else:
         results = list(map(classify, *args))
-    cells = []
-    contradictions = []
+    cells = tuple(map(CellResult, results))
     dumps = []
-    for cls in results:
-        exp = expected_verdict(cls.n, cls.c, cls.m)
-        bad = is_contradiction(cls, exp)
-        cell = CellResult(cls, exp, bad)
-        cells.append(cell)
-        if bad:
-            contradictions.append(cell)
-            if cache_dir:
-                os.makedirs(cache_dir, exist_ok=True)
-                dump = os.path.join(
-                    cache_dir, f"contradiction_{cls.n}_{cls.c}_{cls.m}.json"
+    for cell in cells:
+        if cell.contradiction and cache_dir:
+            cls = cell.classification
+            dump = os.path.join(cache_dir, f"contradiction_{cls.n}_{cls.c}_{cls.m}.json")
+            with open(dump, "w") as fh:
+                json.dump(
+                    {"expected": cell.expected, "classification": cls.to_dict()},
+                    fh, indent=1, sort_keys=True,
                 )
-                with open(dump, "w") as fh:
-                    json.dump(
-                        {"expected": exp, "classification": cls.to_dict()},
-                        fh, indent=1, sort_keys=True,
-                    )
-                dumps.append(dump)
-    return TableReport(tuple(cells), tuple(contradictions), tuple(dumps))
+            dumps.append(dump)
+    return TableReport(cells, tuple(dumps))
 
 
 def render_table(report: TableReport) -> str:

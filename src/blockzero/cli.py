@@ -23,8 +23,7 @@ from .classify import (
     reproduce_table,
 )
 from .families import (
-    ELEMENTARY_SYMMETRIC,
-    POWER_SUMS,
+    FAMILY_PARAMS,
     SUM_PLUS_C_PROD,
     TRANSFORMATION_SUMS,
     FunctionalFamily,
@@ -43,17 +42,12 @@ EXIT_CONTRADICTION = 5
 
 CACHE_ENV = "BLOCKZERO_CACHE_DIR"
 
-# the descriptor key that each family kind's :param fills
-_FAMILY_PARAMS = {SUM_PLUS_C_PROD: "c", POWER_SUMS: "r", ELEMENTARY_SYMMETRIC: "r",
-                  TRANSFORMATION_SUMS: "tables"}
-
 
 def parse_family(spec: str, ctx: ModulusContext) -> FunctionalFamily:
     """Parse the kind:param mini-syntax used on the command line into a
     family descriptor (tables are JSON, or @file for JSON in a file)."""
     kind, sep, param = spec.partition(":")
-    key = _FAMILY_PARAMS.get(kind)
-    if key is None:
+    if kind not in FAMILY_PARAMS:
         raise PreconditionError(f"unknown family {spec!r}")
     if kind == SUM_PLUS_C_PROD and not sep:
         raise PreconditionError("sum_plus_c_prod needs :c")
@@ -62,7 +56,7 @@ def parse_family(spec: str, ctx: ModulusContext) -> FunctionalFamily:
             with open(param[1:]) as fh:
                 param = fh.read()
         param = json.loads(param)
-    return family_from_descriptor(ctx, {"kind": kind, key: param})
+    return family_from_descriptor(ctx, {"kind": kind, FAMILY_PARAMS[kind][0]: param})
 
 
 def resolve_cache_dir(flag_value: str | None) -> str:
@@ -194,20 +188,10 @@ def cmd_report(args) -> int:
     )
     print(render_table(report))
     if args.json_out:
+        # each cell's fields: its classification, expected and contradiction
+        cells = [{**vars(c), "classification": c.classification.to_dict()} for c in report.cells]
         with open(args.json_out, "w") as fh:
-            json.dump(
-                {
-                    "cells": [
-                        {
-                            "classification": c.classification.to_dict(),
-                            "expected": c.expected,
-                            "contradiction": c.contradiction,
-                        }
-                        for c in report.cells
-                    ]
-                },
-                fh, indent=1, sort_keys=True,
-            )
+            json.dump({"cells": cells}, fh, indent=1, sort_keys=True)
     append_run_record(cache_dir, args, f"{len(report.contradictions)} contradictions",
                       list(report.reproducer_paths) + ([args.json_out] if args.json_out else []))
     return EXIT_CONTRADICTION if report.contradictions else EXIT_OK

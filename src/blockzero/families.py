@@ -77,11 +77,9 @@ class FunctionalFamily:
         return self._read(states[0])
 
     def to_descriptor(self) -> dict:
-        if self.kind == SUM_PLUS_C_PROD:
-            return {"kind": self.kind, "c": self.c}
-        if self.kind == TRANSFORMATION_SUMS:
-            return {"kind": self.kind, "tables": [list(t) for t in self.tables]}
-        return {"kind": self.kind, "r": self.r}
+        key = FAMILY_PARAMS[self.kind][0]
+        value = getattr(self, key)
+        return {"kind": self.kind, key: [list(t) for t in value] if key == "tables" else value}
 
 
 def _bind_hook(fam: FunctionalFamily):
@@ -228,23 +226,28 @@ def elementary_symmetric_family(ctx: ModulusContext, r: int) -> FunctionalFamily
     return FunctionalFamily(ctx, ELEMENTARY_SYMMETRIC, r=r)
 
 
+# each family kind's one parameter: its descriptor key (an int, or the
+# tables as lists), and the builder that takes it
+FAMILY_PARAMS = {
+    SUM_PLUS_C_PROD: ("c", sum_plus_c_prod),
+    TRANSFORMATION_SUMS: ("tables", transformation_sums),
+    POWER_SUMS: ("r", power_sums),
+    ELEMENTARY_SYMMETRIC: ("r", elementary_symmetric_family),
+}
+
+
 def family_from_descriptor(ctx: ModulusContext, desc: dict) -> FunctionalFamily:
     """The family desc names.  It is the one reader of --family specs and
     of certificate records, so a malformed descriptor raises
     PreconditionError."""
     kind = desc.get("kind") if isinstance(desc, dict) else None
+    if not isinstance(kind, str) or kind not in FAMILY_PARAMS:
+        raise PreconditionError(f"unknown family kind {kind!r}")
+    key, build = FAMILY_PARAMS[kind]
     try:
-        if kind == SUM_PLUS_C_PROD:
-            return sum_plus_c_prod(ctx, int(desc["c"]))
-        if kind == TRANSFORMATION_SUMS:
-            return transformation_sums(ctx, desc["tables"])
-        if kind == POWER_SUMS:
-            return power_sums(ctx, int(desc["r"]))
-        if kind == ELEMENTARY_SYMMETRIC:
-            return elementary_symmetric_family(ctx, int(desc["r"]))
+        return build(ctx, desc[key] if key == "tables" else int(desc[key]))
     except (KeyError, TypeError, ValueError) as e:
         raise PreconditionError(f"malformed family descriptor {desc!r}: {e}") from None
-    raise PreconditionError(f"unknown family kind {kind!r}")
 
 
 @dataclass(frozen=True)

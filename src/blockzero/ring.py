@@ -56,22 +56,15 @@ class PowerCycle:
     cycle_len: int
 
 
+@dataclass(frozen=True)
 class ModulusContext:
     """The ring Z_n, n >= 2."""
 
-    def __init__(self, n: int):
-        if n < 2:
-            raise PreconditionError(f"modulus must be >= 2, got {n}")
-        self.n = n
+    n: int
 
-    def __repr__(self):
-        return f"ModulusContext(n={self.n})"
-
-    def __eq__(self, other):
-        return isinstance(other, ModulusContext) and other.n == self.n
-
-    def __hash__(self):
-        return hash(("ModulusContext", self.n))
+    def __post_init__(self):
+        if self.n < 2:
+            raise PreconditionError(f"modulus must be >= 2, got {self.n}")
 
 
 def pow_cycle(g: int, ctx: ModulusContext) -> PowerCycle:

@@ -21,7 +21,7 @@ outcome names its stop.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import reduce
 from operator import getitem, or_
 
@@ -38,23 +38,38 @@ class InternalInvariantError(AssertionError):
     """A constructive path produced a value failing its defining equations."""
 
 
+def from_record(cls, d: dict):
+    """The dataclass cls built again from the record d of its to_dict.  A
+    derived (init=False) field of d that disagrees with the new record's
+    raises ValueError; a missing field KeyError or TypeError."""
+    d = dict(d)
+    recorded = {f.name: d.pop(f.name) for f in fields(cls) if not f.init}
+    obj = cls(**d)
+    if any(getattr(obj, k) != v for k, v in recorded.items()):
+        raise ValueError(f"{cls.__name__} record {recorded} disagrees with its proof")
+    return obj
+
+
 @dataclass(frozen=True)
 class SearchOutcome:
     """What a search settled.  stop says why it ended: "exhausted" (the
     threshold is exact), "cap" (a word reached the cap, so the cap is
     len(longest_word)), or the budget that ran out: "nodes", "sets"
     (suffix_set_search's count) or "deadline".  status (EXHAUSTED or
-    CAP_REACHED) and budget_exhausted are read off stop."""
+    CAP_REACHED), threshold (one past the longest word when exhausted,
+    else None) and budget_exhausted are read off stop."""
 
     status: str = field(init=False)  # EXHAUSTED | CAP_REACHED
-    threshold: int | None
+    threshold: int | None = field(init=False)
     longest_word: tuple[int, ...]
     nodes_expanded: int
     stop: str
     budget_exhausted: bool = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "status", EXHAUSTED if self.stop == EXHAUSTED else CAP_REACHED)
+        exhausted = self.stop == EXHAUSTED
+        object.__setattr__(self, "status", EXHAUSTED if exhausted else CAP_REACHED)
+        object.__setattr__(self, "threshold", len(self.longest_word) + 1 if exhausted else None)
         object.__setattr__(self, "budget_exhausted", self.stop in ("nodes", "sets", "deadline"))
 
     def to_dict(self) -> dict:
@@ -64,14 +79,9 @@ class SearchOutcome:
     def from_dict(cls, d: dict) -> "SearchOutcome":
         """The record to_dict wrote.  A malformed record raises KeyError,
         TypeError or ValueError: a missing field, an unknown key, or a
-        status or budget_exhausted that disagrees with its stop."""
-        d = dict(d)
-        recorded = d.pop("status", None), d.pop("budget_exhausted", None)
-        d["longest_word"] = tuple(d["longest_word"])
-        out = cls(**d)
-        if recorded != (out.status, out.budget_exhausted):
-            raise ValueError(f"outcome record {recorded} disagrees with its stop {out.stop!r}")
-        return out
+        status, threshold or budget_exhausted that disagrees with its
+        stop and longest word."""
+        return from_record(cls, {**d, "longest_word": tuple(d["longest_word"])})
 
 
 class _StateTable:
@@ -165,7 +175,7 @@ def longest_avoiding_word(
             and time.monotonic() > deadline
         ):
             stop = "cap" if L >= cap else "nodes" if nodes >= limit else "deadline"
-            return SearchOutcome(None, best_word, nodes, stop)
+            return SearchOutcome(best_word, nodes, stop)
         # each column shifted to the lengths of the child's blocks
         E, forbidden, shifted = ends[L + 1], 0, []
         for i, col in cols.items():
@@ -176,7 +186,7 @@ def longest_avoiding_word(
         todo = iter([a for a in range(n) if not forbidden >> a & 1])
         while (a := next(todo, None)) is None:
             if not stack:
-                return SearchOutcome(best + 1, best_word, nodes, EXHAUSTED)
+                return SearchOutcome(best_word, nodes, EXHAUSTED)
             toggle(len(word))
             fed.pop()
             word.pop()
@@ -331,7 +341,7 @@ def suffix_set_search(
             if done >= best:
                 best = done + 1
     if stop is not None:
-        outcome = SearchOutcome(None, deepest, len(longest), stop)
+        outcome = SearchOutcome(deepest, len(longest), stop)
     else:
         # the lexicographically first longest word: the smallest symbol
         # whose child keeps the maximum, from the root down
@@ -341,7 +351,7 @@ def suffix_set_search(
             want = longest[S] - 1
             a, S = next((a, ch) for a, shift in todo if longest[ch := acc >> shift & full] == want)
             best_word.append(a)
-        outcome = SearchOutcome(longest[0] + 1, tuple(best_word), len(longest), EXHAUSTED)
+        outcome = SearchOutcome(tuple(best_word), len(longest), EXHAUSTED)
     return SuffixSetResult(len(longest), outcome=outcome)
 
 
@@ -415,6 +425,8 @@ def mine_witness(
     """
     if ctx != fam.ctx:
         raise PreconditionError(f"{ctx} is not the family's modulus {fam.ctx}")
+    if m < 1:
+        raise PreconditionError(f"m must be >= 1, got {m}")
     if p_max < 1 or (limit is not None and limit < 1):
         raise PreconditionError(f"p_max and limit must be >= 1, got {p_max} and {limit}")
     n = ctx.n

@@ -1,5 +1,7 @@
 import importlib
 import json
+import os
+import re
 import shutil
 from dataclasses import replace
 
@@ -226,10 +228,11 @@ def test_classify_cache_idempotent(tmp_path):
 def test_cache_rejects_contradictory_overwrite(tmp_path):
     cls = classify(12, 1, 1, cache_dir=str(tmp_path))
     path = next(tmp_path.iterdir())
-    flipped = Classification.from_dict(
-        {**cls.to_dict(), "verdict": VANISHING_PROVED, "certificate": None,
-         "witness": None, "threshold": 4}
-    )
+    # a vanishing record of the same cell, with an exhausted outcome as its
+    # proof: the cached witness must not be overwritten by it
+    flipped = Classification(cls.n, cls.c, cls.m, "search",
+                             outcome=SearchOutcome((0, 1, 0), 6, "exhausted"))
+    assert (flipped.verdict, flipped.threshold) == (VANISHING_PROVED, 4)
     with pytest.raises(ContradictionError):
         _save_cached(str(path), flipped)
 
@@ -244,6 +247,31 @@ def test_corrupt_cache_is_recomputed(tmp_path):
     again = classify(13, 1, 1, cache_dir=str(tmp_path))
     assert again.witness == cls.witness
     assert recheck_certificate(again.certificate)
+    # a record's verdict, threshold and witness are read off its proof: a
+    # copy of one that disagrees with the proof makes the record malformed
+    nonvan = again.to_dict()
+    van = classify(4, 1, 1, cache_dir=str(tmp_path)).to_dict()
+    for cell, d in [
+        ((13, 1, 1), {**nonvan, "verdict": VANISHING_PROVED}),
+        ((13, 1, 1), {**nonvan, "verdict": UNKNOWN}),
+        ((13, 1, 1), {**nonvan, "threshold": 4}),
+        ((13, 1, 1), {**nonvan, "witness": [1, 2]}),
+        ((13, 1, 1), {**nonvan, "witness": None}),
+        ((4, 1, 1), {**van, "verdict": NONVANISHING_PROVED}),
+        ((4, 1, 1), {**van, "verdict": UNKNOWN}),
+        ((4, 1, 1), {**van, "threshold": 9}),
+        ((4, 1, 1), {**van, "threshold": None}),
+        ((4, 1, 1), {**van, "witness": [1, 3]}),
+    ]:
+        path = _cell_path(tmp_path, *cell)
+        with open(path, "w") as fh:
+            json.dump({**d, "elapsed_ms": 987_654}, fh)
+        got = classify(*cell, cache_dir=str(tmp_path))
+        assert got.elapsed_ms != 987_654, (cell, d)
+        fresh = {**(nonvan if cell == (13, 1, 1) else van), "elapsed_ms": 0}
+        assert {**got.to_dict(), "elapsed_ms": 0} == fresh
+        with open(path) as fh:
+            assert {**json.load(fh), "elapsed_ms": 0} == fresh  # the file was replaced
 
 
 def _cell_path(cache_dir, n, c, m):
@@ -346,6 +374,23 @@ def test_classify_preconditions():
     for c in (0, 1):
         with pytest.raises(PreconditionError):
             classify(5, c, 1, cap=1)
+
+
+def test_classify_creates_its_cache_dir(tmp_path):
+    cache = tmp_path / "new" / "cache"
+    cls = classify(5, 1, 1, cache_dir=str(cache))
+    assert [p.name for p in cache.iterdir()] == [os.path.basename(_cell_path(cache, 5, 1, 1))]
+    assert classify(5, 1, 1, cache_dir=str(cache)) == cls  # and serves it
+
+
+def test_repeated_m_values_are_one_cell_each(tmp_path):
+    report = reproduce_table(3, m_set=(1, 1), cache_dir=str(tmp_path))
+    cells = [(c.classification.n, c.classification.c, c.classification.m) for c in report.cells]
+    assert cells == [(2, 0, 1), (2, 1, 1), (3, 0, 1), (3, 1, 1), (3, 2, 1)]
+    # the footer counts each cell once too
+    lines = render_table(reproduce_table(3, m_set=(2, 1, 2))).splitlines()
+    assert len(lines) == 2 + 10 + 2  # header, the 5 (n, c) pairs at m = 2 and 1, footer
+    assert sum(int(k) for k in re.findall(r"(\d+) cells", lines[-2])) == 10
 
 
 def test_reproduce_small_table(tmp_path):
@@ -453,21 +498,27 @@ def test_reproduce_table_flags_contradictions(tmp_path, monkeypatch):
     assert "CONTRADICTS" in mod.render_table(report)
 
 
+def _f1_mod_7_witness(m):
+    """The cataloged avoiding period of F_1 mod 7, certified at m."""
+    fam = sum_plus_c_prod(ModulusContext(7), 1)
+    return verify_periodic(PeriodicWord((2, 3, 3, 3, 3), 7), fam, m)
+
+
 def test_render_table_says_what_stopped_each_unknown_cell():
-    def cell(verdict, m=2, **kw):
-        return CellResult(Classification(7, 1, m, verdict, None, **kw), None, False)
+    def cell(m=2, outcome=None, certificate=None, c=1):
+        return CellResult(Classification(7, c, m, None, certificate, outcome))
 
     report = TableReport((
-        cell(NONVANISHING_PROVED, witness=(2, 3)),
-        cell(VANISHING_PROVED, threshold=14),
-        cell(UNKNOWN, outcome=SearchOutcome(None, (0,) * 24, 25, "cap")),
-        cell(UNKNOWN, outcome=SearchOutcome(None, (0,) * 13, 1000, "nodes")),
+        cell(certificate=_f1_mod_7_witness(2)),
+        cell(c=0, outcome=SearchOutcome((0,) * 13, 500, "exhausted")),  # F_0 vanishes
+        cell(outcome=SearchOutcome((0,) * 24, 25, "cap")),
+        cell(outcome=SearchOutcome((0,) * 13, 1000, "nodes")),
         # the set search's budget counts suffix-state sets
-        cell(UNKNOWN, m=1, outcome=SearchOutcome(None, (0,) * 9, 40000, "sets")),
-        cell(UNKNOWN, outcome=SearchOutcome(None, (0,) * 5, 2048, "deadline")),
-    ), ())
+        cell(m=1, outcome=SearchOutcome((0,) * 9, 40000, "sets")),
+        cell(outcome=SearchOutcome((0,) * 5, 2048, "deadline")),
+    ))
     lines = render_table(report).splitlines()
-    assert lines[2].endswith("witness 2,3")
+    assert lines[2].endswith("witness 2,3,3,3,3")
     assert lines[3].endswith("threshold 14")
     assert lines[4].endswith("cap reached at length 24")
     assert lines[5].endswith("node budget after 1000 nodes")
@@ -476,20 +527,22 @@ def test_render_table_says_what_stopped_each_unknown_cell():
 
 
 def test_render_table_sums_the_time_of_each_outcome():
-    def cell(verdict, elapsed_ms, stop=None, **kw):
-        out = SearchOutcome(None, (0,) * 4, 10, stop) if stop else None
-        cls = Classification(7, 1, 1, verdict, None, outcome=out, elapsed_ms=elapsed_ms, **kw)
-        return CellResult(cls, None, False)
+    witness = _f1_mod_7_witness(1)
+
+    def cell(elapsed_ms, stop=None, c=1):
+        out = SearchOutcome((0,) * 13, 10, stop) if stop else None
+        cls = Classification(7, c, 1, None, None if out else witness, out, 10, elapsed_ms)
+        return CellResult(cls)
 
     report = TableReport((
-        cell(UNKNOWN, 1500, "sets"),
-        cell(NONVANISHING_PROVED, 3, witness=(2, 3)),
-        cell(VANISHING_PROVED, 40, "exhausted", threshold=14),
-        cell(UNKNOWN, 7, "cap"),
-        cell(NONVANISHING_PROVED, 1, witness=(1, 5)),
-        cell(UNKNOWN, 9, "cap"),
-        cell(UNKNOWN, 2000, "sets"),
-    ), ())
+        cell(1500, "sets"),
+        cell(3),
+        cell(40, "exhausted", c=0),  # F_0 vanishes: no contradiction
+        cell(7, "cap"),
+        cell(1),
+        cell(9, "cap"),
+        cell(2000, "sets"),
+    ))
     lines = render_table(report).splitlines()
     # in a fixed order, and an outcome with no cells ("nodes", "deadline")
     # is left out
@@ -498,6 +551,25 @@ def test_render_table_sums_the_time_of_each_outcome():
         "cap 2 cells 16 ms, sets 2 cells 3500 ms"
     )
     assert lines[-1] == "0 contradiction(s)"
+
+
+def test_classification_is_read_off_its_proof():
+    witness = _f1_mod_7_witness(1)
+    exhausted = SearchOutcome((0, 1, 0), 6, "exhausted")
+    cls = Classification(7, 1, 1, "catalog", witness)
+    assert (cls.verdict, cls.threshold, cls.witness) == (
+        NONVANISHING_PROVED, None, (2, 3, 3, 3, 3))
+    cls = Classification(7, 0, 1, "search", outcome=exhausted)
+    assert (cls.verdict, cls.threshold, cls.witness) == (VANISHING_PROVED, 4, None)
+    for stop in ("cap", "nodes", "sets", "deadline"):
+        cls = Classification(7, 6, 1, None, outcome=replace(exhausted, stop=stop))
+        assert (cls.verdict, cls.threshold, cls.witness) == (UNKNOWN, None, None)
+    # both proofs, neither, or a refuted certificate
+    refuted = verify_periodic(PeriodicWord((1,), 7), sum_plus_c_prod(ModulusContext(7), 1), 1)
+    assert refuted.verdict != AVOIDING
+    for cert, out in [(witness, exhausted), (None, None), (refuted, None)]:
+        with pytest.raises(ValueError):
+            Classification(7, 1, 1, "catalog", cert, out)
 
 
 def test_classification_round_trip():

@@ -192,6 +192,11 @@ def test_usage_errors(capsys, cache):
     code, _, err = run(capsys, "eval", "--n", "5", "--family", "sum_plus_c_prod:1",
                        "--block", "3")
     assert code == EXIT_USAGE
+    # m below 1 is refused on entry, for F_0 too, whose every necklace is
+    # refuted before verify_periodic would check m
+    for family in ("sum_plus_c_prod:0", "sum_plus_c_prod:1"):
+        code, out, err = run(capsys, "mine", "--n", "5", "--family", family, "--m", "0")
+        assert code == EXIT_USAGE and "enumeration_complete" not in out and "m must be" in err
     for limit in ("0", "-3"):
         code, out, err = run(capsys, "mine", "--n", "12", "--family", "sum_plus_c_prod:1",
                              "--limit", limit)

@@ -1,3 +1,4 @@
+import json
 from itertools import product
 from math import gcd, prod
 
@@ -204,6 +205,20 @@ def test_descriptor_round_trip():
         again = family_from_descriptor(ctx, fam.to_descriptor())
         assert again == fam
         assert again.output_dim == fam.output_dim
+    # certificates compare these dicts and cache files are named by their
+    # JSON, so each kind's descriptor keeps its one key (tables as lists)
+    assert [json.dumps(fam.to_descriptor()) for fam in (
+        sum_plus_c_prod(ctx, 5), transformation_sums(ctx, [[0, 1, 2, 3, 4, 5]]),
+        power_sums(ctx, 3), elementary_symmetric_family(ctx, 2),
+    )] == [
+        '{"kind": "sum_plus_c_prod", "c": 5}',
+        '{"kind": "transformation_sums", "tables": [[0, 1, 2, 3, 4, 5]]}',
+        '{"kind": "power_sums", "r": 3}',
+        '{"kind": "elementary_symmetric", "r": 2}',
+    ]
+    for desc in ({"kind": ["sum_plus_c_prod"], "c": 1}, {"kind": "nosuch"}, [], None):
+        with pytest.raises(PreconditionError, match="unknown family kind"):
+            family_from_descriptor(ctx, desc)
 
 
 def test_eval_agrees_with_naive_f_c():

@@ -124,3 +124,14 @@ def test_is_cubic_residue_against_cube_tables():
         cubes = {pow(x, 3, p) for x in range(p)}
         for a in range(p):
             assert is_cubic_residue(a, p) == (a in cubes)
+
+
+def test_modulus_context_is_plain_data():
+    ctx = ModulusContext(5)
+    assert repr(ctx) == "ModulusContext(n=5)"
+    assert ctx == ModulusContext(5) != ModulusContext(6)
+    assert hash(ctx) == hash(ModulusContext(5)) and len({ctx, ModulusContext(5)}) == 1
+    assert ctx != 5
+    for n in (1, 0, -3):
+        with pytest.raises(PreconditionError):
+            ModulusContext(n)

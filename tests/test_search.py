@@ -107,7 +107,7 @@ def test_budget_exhaustion_is_flagged():
     # the deadline is read at the root and then every 2,048 nodes, so a
     # search that starts after its deadline does no work
     out = search(3, 1, 2, cap=64, deadline=time.monotonic() - 1)
-    assert out == SearchOutcome(None, (), 1, "deadline")
+    assert out == SearchOutcome((), 1, "deadline")
 
 
 def test_cap_below_two_rejected():
@@ -369,38 +369,32 @@ def digits(s):
 # cap 24, or (n, c, m, cap, max_nodes).
 PINNED_OUTCOMES = [
     ((6, 1, None), SearchOutcome(
-        18, (0, 1, 0, 3, 1, 4, 1, 1, 4, 1, 4, 1, 1, 4, 2, 5, 2), 23_392,
+        (0, 1, 0, 3, 1, 4, 1, 1, 4, 1, 4, 1, 1, 4, 2, 5, 2), 23_392,
         "exhausted")),
     ((6, 0, None), SearchOutcome(
-        12, (0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0), 12_662, "exhausted")),
+        (0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0), 12_662, "exhausted")),
     ((6, 5, 40_000), SearchOutcome(
-        None,
         (1, 4, 1, 1, 5, 1, 4, 2, 5, 3, 5, 2, 4, 1, 5, 1, 1, 4, 1), 40_000,
         "nodes")),
     ((7, 6, None), SearchOutcome(
-        None,
         (0, 1, 0, 1, 2, 5, 2, 5, 2, 5, 2, 1, 0, 1, 4, 3, 4, 3, 4, 3, 4, 3, 4, 3),
         6_181, "cap")),
     ((3, 1, 2, 200, 20_000), SearchOutcome(
-        None,
         digits("00010002000200210020002000200010002"),
         20_000, "nodes")),
     ((4, 3, 2, 200, 20_000), SearchOutcome(
-        None,
         digits(
             "000100010001000100010001000100021000100010001003010023100100"
             "1310001000"
         ),
         20_000, "nodes")),
     ((5, 4, 2, 200, 20_000), SearchOutcome(
-        None,
         digits(
             "000100010001000100010001000100010001000210001000100010001000"
             "10001000100010001310001000"
         ),
         20_000, "nodes")),
     ((3, 1, 3, 200, 20_000), SearchOutcome(
-        None,
         digits(
             "000001000001000001000001000001000001000001000001000002000100"
             "0010000012001000001010001000001000120020000100000100021000"
@@ -508,9 +502,8 @@ def assert_same_as_dfs(fam, found):
     dfs = longest_avoiding_word(fam, 1, cap=24)
     assert dfs.status == EXHAUSTED
     assert found.certificate is None
-    assert found.outcome == SearchOutcome(
-        dfs.threshold, dfs.longest_word, found.states, "exhausted"
-    )
+    assert found.outcome == SearchOutcome(dfs.longest_word, found.states, "exhausted")
+    assert found.outcome.threshold == dfs.threshold
 
 
 def test_suffix_set_search_matches_dfs_and_oracle_on_f_c():
@@ -617,14 +610,14 @@ def test_suffix_set_search_budgets():
     out = set_search(7, 6, max_nodes=1000)
     assert (out.states, out.certificate) == (1000, None)
     assert out.outcome == SearchOutcome(
-        None, (0, 1, 0, 1, 0, 2, 0, 1, 0, 1, 4, 3, 4, 3, 4, 3, 4, 3, 4, 3),
+        (0, 1, 0, 1, 0, 2, 0, 1, 0, 1, 4, 3, 4, 3, 4, 3, 4, 3, 4, 3),
         1000, "sets",
     )
     assert_avoids(ctx, sum_plus_c_prod(ctx, 6), 1, out.outcome.longest_word)
     # the deadline is read at the root and then every 64 sets
     out = set_search(7, 6, deadline=time.monotonic() - 1)
     assert (out.states, out.certificate) == (1, None)
-    assert out.outcome == SearchOutcome(None, (), 1, "deadline")
+    assert out.outcome == SearchOutcome((), 1, "deadline")
     out = set_search(7, 6, deadline=time.monotonic() + 0.05)
     assert out.states == 1 or out.states % 64 == 0
     assert out.certificate is None and out.outcome.stop == "deadline"
@@ -637,12 +630,12 @@ def test_suffix_set_walk_is_pinned():
     # the largest m = 1 cell the n <= 18 grid exhausts
     out = set_search(7, 6, max_nodes=40_000)
     assert out.states == 40_000 and out.outcome == SearchOutcome(
-        None, (0, 1, 0, 2, 6, 3, 6, 5, 2, 6, 3, 6, 5, 6, 3, 6, 2, 5, 6, 3, 6),
+        (0, 1, 0, 2, 6, 3, 6, 5, 2, 6, 3, 6, 5, 6, 3, 6, 2, 5, 6, 3, 6),
         40_000, "sets",
     )
     out = set_search(8, 1)
     assert out.states == 264_712 and out.outcome == SearchOutcome(
-        26, (1, 1, 1, 5, 1, 1, 6, 1, 2, 5, 1, 1, 4, 6, 1, 1, 1, 5, 1, 1, 6, 1, 2, 5, 1),
+        (1, 1, 1, 5, 1, 1, 6, 1, 2, 5, 1, 1, 4, 6, 1, 1, 1, 5, 1, 1, 6, 1, 2, 5, 1),
         264_712, "exhausted",
     )
 
@@ -681,9 +674,10 @@ def test_outcome_record_is_pinned():
     ]:
         assert out.to_dict() == record
         assert SearchOutcome.from_dict(record) == out
-        # status and budget_exhausted are read off stop: a record whose
-        # copy of either disagrees with it is malformed
+        # status, threshold and budget_exhausted are read off stop and the
+        # longest word: a record whose copy of one disagrees is malformed
         other = CAP_REACHED if out.status == EXHAUSTED else EXHAUSTED
-        for key, value in [("status", other), ("budget_exhausted", not out.budget_exhausted)]:
+        for key, value in [("status", other), ("budget_exhausted", not out.budget_exhausted),
+                           ("threshold", (out.threshold or 0) + 1)]:
             with pytest.raises(ValueError):
                 SearchOutcome.from_dict({**record, key: value})
