@@ -241,16 +241,15 @@ def _load_cached(path: str, n: int, fam: FunctionalFamily, m: int) -> Classifica
 
 
 def _save_cached(path: str, cls: Classification) -> None:
-    """Write cls to path.  A proved verdict of the same cell there must not
-    flip; a file of another cell, or a missing or malformed one, is simply
-    replaced."""
+    """Write cls to path.  A proved verdict of the same cell there whose
+    proof holds (_load_cached serves it) must not flip; any other file, a
+    record whose proof fails included, is simply replaced."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    old = _read_cached(path)
-    if old is not None and (old.n, old.c, old.m) == (cls.n, cls.c, cls.m):
-        if {old.verdict, cls.verdict} == {VANISHING_PROVED, NONVANISHING_PROVED}:
-            raise ContradictionError(
-                f"cache at {path} holds {old.verdict} but new result is {cls.verdict}"
-            )
+    old = _load_cached(path, cls.n, sum_plus_c_prod(ModulusContext(cls.n), cls.c), cls.m)
+    if old is not None and {old.verdict, cls.verdict} == {VANISHING_PROVED, NONVANISHING_PROVED}:
+        raise ContradictionError(
+            f"cache at {path} holds {old.verdict} but new result is {cls.verdict}"
+        )
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         json.dump(cls.to_dict(), fh, indent=1, sort_keys=True)
@@ -428,7 +427,9 @@ def reproduce_table(
     classify itself is mapped over the cells, in this process or, for
     jobs > 1, in a pool of jobs processes; either way each call reads and
     writes its own cell's cache entry, so both give the same report and
-    leave the same cache."""
+    leave the same cache.  jobs below 1 is refused."""
+    if jobs < 1:
+        raise PreconditionError(f"jobs must be >= 1, got {jobs}")
     grid = list(_cell_args(n_max, m_set))
     args = [[cell[k] for cell in grid] for k in range(3)]  # the n, c and m columns
     args += [repeat(v) for v in (budget_ms, cap, p_max, max_nodes, cache_dir)]

@@ -241,17 +241,19 @@ def suffix_set_search(
 
     A set is an int bitmask over the ids of the closure of the one-symbol
     states.  Per-byte tables give, for each 8 ids, the OR of their
-    vanishing masks and of their child bits under every symbol, packed in
-    one int.  A set's acc ORs one entry per byte of its mask with the bits
-    of the one-symbol blocks: its forbidden symbols sit above the child
-    masks, and child a, acc >> a*K & full, is computed when the walk reads
-    that arc.  One memo serves the path and the finished sets: longest[S]
-    is ~depth (negative) while S is on the path, so an arc to S closes a
-    cycle whose period starts at word[~depth:], and then S's longest path.
-    Each set entered counts against max_nodes; no cap applies, since a
-    proof does not depend on depth.  A budget stop is a CAP_REACHED
-    outcome with stop "sets" or "deadline", the sets entered as its node
-    count, and the first longest word the search walked.
+    vanishing masks, child bits and children's vanishing masks under every
+    symbol, packed in one int.  A set's acc ORs one entry per byte of its
+    mask with the one-symbol blocks' bits: its forbidden symbols sit above
+    the child masks and each child's above those, so child a, acc >> a*K &
+    full, is computed when the walk reads that arc, and a new child that
+    forbids every symbol (a dead end) is finished on entry, with no acc.
+    One memo serves the path and the finished sets: longest[S] is ~depth
+    (negative) while S is on the path, so an arc to S closes a cycle whose
+    period starts at word[~depth:], and then S's longest path.  Each set
+    entered counts against max_nodes; no cap applies, since a proof does
+    not depend on depth.  A budget stop is a CAP_REACHED outcome with stop
+    "sets" or "deadline", the sets entered as its node count, and the
+    first longest word the search walked.
     """
     n = fam.ctx.n
     table = _StateTable(fam)
@@ -259,14 +261,15 @@ def suffix_set_search(
     while i < len(table.states):  # the closure of the one-symbol states
         table.expand(i)
         i += 1
-    K = len(table.states)
+    K, masks = len(table.states), table.masks
     top = n * K  # the vanishing mask sits above the n packed child masks
-    full = (1 << K) - 1
-    nbytes = (K + 7) // 8
-    packed = [
-        sum(1 << (a * K + j) for a, j in enumerate(row)) | mask << top
-        for row, mask in zip(table.rows, table.masks)
-    ] + [0] * (8 * nbytes - K)
+    full, nfull, nbytes = (1 << K) - 1, (1 << n) - 1, (K + 7) // 8
+
+    def entry(row: list[int]) -> int:  # row's child bits and their vanishing masks
+        return sum(1 << (a * K + j) | masks[j] << (top + n + a * n) for a, j in enumerate(row))
+
+    packed = [entry(row) | mask << top for row, mask in zip(table.rows, masks)]
+    packed += [0] * (8 * nbytes - K)  # the last byte's padding
     byte_tables = []
     for k in range(nbytes):
         t = [0] * 256
@@ -275,21 +278,18 @@ def suffix_set_search(
             t[b] = t[b ^ low] | packed[8 * k + low.bit_length() - 1]
         byte_tables.append(t)
 
-    singles = sum(1 << (a * K + j) for a, j in enumerate(table.singles))
-    # the (a, shift of a's child) arcs each forbidden mask leaves, kept for
-    # the first 4,096 masks met, so the cache stays small at large n
-    allowed_by_mask: dict[int, list[tuple[int, int]]] = {}
+    singles = entry(table.singles)
+    allowed_by_mask: dict[int, list[tuple[int, int, int]]] = {}
 
-    def arcs(S: int) -> tuple:
-        """acc of the set S, and an iterator over the arcs it allows."""
-        acc = reduce(or_, map(getitem, byte_tables, S.to_bytes(nbytes, "little")), singles)
-        forbidden = acc >> top
-        allowed = allowed_by_mask.get(forbidden)
-        if allowed is None:
-            allowed = [(a, a * K) for a in range(n) if not forbidden >> a & 1]
-            if len(allowed_by_mask) < 4096:
-                allowed_by_mask[forbidden] = allowed
-        return acc, iter(allowed)
+    def arcs(acc: int) -> list[tuple[int, int, int]]:
+        """The (a, shift of a's child, shift of its forbidden mask) arcs a
+        set with this acc allows, kept by forbidden mask for the first
+        4,096 masks met, so the cache stays small at large n."""
+        forbidden = acc >> top & nfull
+        allowed = [(a, a * K, top + n + a * n) for a in range(n) if not forbidden >> a & 1]
+        if len(allowed_by_mask) < 4096:
+            allowed_by_mask[forbidden] = allowed
+        return allowed
 
     # the running maximum of a set on the path is kept in best (in its
     # stack entry while a child is searched), not in longest
@@ -298,29 +298,38 @@ def suffix_set_search(
     deepest: tuple[int, ...] = ()  # the first longest word on the path so far
     stack: list[tuple] = []  # (set, acc, remaining arcs, best) of each parent of S
     limit = max_nodes if max_nodes is not None else float("inf")
-    S, best, (acc, todo) = 0, 0, arcs(0)  # the empty word: no suffixes
+    S, best, acc = 0, 0, singles  # the empty word: no suffixes, so no byte-table bits
+    todo = iter(arcs(acc))
+    depth, deep, states = 0, 0, 1  # len(word), len(deepest) and len(longest)
     # the deadline is read at the root and then every 64 sets: a search that
     # starts late does no work, and one that runs past it overshoots < 1 ms
     stop = None
     if limit <= 1 or (deadline is not None and time.monotonic() > deadline):
         stop = "sets" if limit <= 1 else "deadline"
     while stop is None:
-        for a, shift in todo:
+        for a, shift, dead in todo:
             child = acc >> shift & full
             done = longest.get(child)
             if done is None:
-                stack.append((S, acc, todo, best))
-                word.append(a)
-                S, best, (acc, todo) = child, 0, arcs(child)
-                longest[S] = ~len(word)
-                if len(word) > len(deepest):
-                    deepest = tuple(word)
-                states = len(longest)
+                states += 1
+                if depth == deep:
+                    deep, deepest = deep + 1, (*word, a)
                 if states >= limit:
                     stop = "sets"
                 elif states % 64 == 0 and deadline is not None and time.monotonic() > deadline:
                     stop = "deadline"
-                break
+                if acc >> dead & nfull != nfull:
+                    stack.append((S, acc, todo, best))
+                    word.append(a)
+                    S, best, depth = child, 0, depth + 1
+                    acc = reduce(or_, map(getitem, byte_tables, S.to_bytes(nbytes, "little")), singles)
+                    todo = iter(allowed_by_mask.get(acc >> top & nfull) or arcs(acc))
+                    longest[S] = ~depth
+                    break
+                longest[child], best = 0, best or 1  # a dead end: entered and finished
+                if stop is not None:
+                    break
+                continue
             if done < 0:
                 period = tuple(word[~done:]) + (a,)
                 cert = verify_periodic(PeriodicWord(period, n), fam, 1)
@@ -328,7 +337,7 @@ def suffix_set_search(
                     raise InternalInvariantError(
                         f"cycle period {period} is {cert.verdict} at m = 1"
                     )
-                return SuffixSetResult(len(longest), certificate=cert)
+                return SuffixSetResult(states, certificate=cert)
             if done >= best:
                 best = done + 1
         else:
@@ -336,23 +345,23 @@ def suffix_set_search(
             if not stack:
                 break
             word.pop()
-            done = best
+            done, depth = best, depth - 1
             S, acc, todo, best = stack.pop()
             if done >= best:
                 best = done + 1
     if stop is not None:
-        outcome = SearchOutcome(deepest, len(longest), stop)
+        outcome = SearchOutcome(deepest, states, stop)
     else:
         # the lexicographically first longest word: the smallest symbol
         # whose child keeps the maximum, from the root down
         best_word, S = [], 0
         while longest[S]:
-            acc, todo = arcs(S)
+            acc = reduce(or_, map(getitem, byte_tables, S.to_bytes(nbytes, "little")), singles)
             want = longest[S] - 1
-            a, S = next((a, ch) for a, shift in todo if longest[ch := acc >> shift & full] == want)
+            a, S = next((a, ch) for a, shift, _ in arcs(acc) if longest[ch := acc >> shift & full] == want)
             best_word.append(a)
-        outcome = SearchOutcome(tuple(best_word), len(longest), EXHAUSTED)
-    return SuffixSetResult(len(longest), outcome=outcome)
+        outcome = SearchOutcome(tuple(best_word), states, EXHAUSTED)
+    return SuffixSetResult(states, outcome=outcome)
 
 
 @dataclass(frozen=True)

@@ -169,3 +169,60 @@ class Lcg:
 
     def below(self, bound: int) -> int:
         return self.next() % bound
+
+
+class _Cycle(Exception):
+    """Raised with the period of the cycle suffix_set_walk closes."""
+
+
+def suffix_set_walk(n, c):
+    """The m = 1 walk of F_c mod n on sets of suffix values, plainly.
+
+    A word's set holds (block sum, c * block product mod n) of each of its
+    nonempty suffixes, folded afresh from the word; a symbol a is forbidden
+    iff some suffix u has naive_f_c(u + (a,)) == 0.  A recursive DFS enters
+    each new set once, symbols ascending, with one memo: ~depth while a set
+    is on the path, then its longest path.  An arc to a set on the path
+    closes a cycle.  Returns (entered, end): entered lists each set's word,
+    in the order the walk enters them, and whether it is a dead end (every
+    symbol forbidden); end is ("cycle", period) or ("exhausted", the
+    lexicographically first longest word)."""
+
+    def values(word):
+        return frozenset(
+            (naive_block_sum(word[i:], n), c * naive_block_product(word[i:], n) % n)
+            for i in range(len(word))
+        )
+
+    def allowed(word):
+        return [
+            a for a in range(n)
+            if not any(naive_f_c(word[i:] + (a,), n, c) == 0 for i in range(len(word)))
+        ]
+
+    longest, entered = {}, []
+
+    def walk(word):
+        longest[values(word)] = ~len(word)
+        todo = allowed(word)
+        entered.append((word, not todo))
+        best = 0
+        for a in todo:
+            done = longest.get(values(word + (a,)))
+            if done is None:
+                done = walk(word + (a,))
+            elif done < 0:
+                raise _Cycle(word[~done:] + (a,))
+            best = max(best, done + 1)
+        longest[values(word)] = best
+        return best
+
+    try:
+        walk(())
+    except _Cycle as cycle:
+        return entered, ("cycle", cycle.args[0])
+    word = ()
+    while longest[values(word)]:
+        want = longest[values(word)] - 1
+        word += (min(a for a in allowed(word) if longest[values(word + (a,))] == want),)
+    return entered, ("exhausted", word)

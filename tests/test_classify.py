@@ -237,6 +237,21 @@ def test_cache_rejects_contradictory_overwrite(tmp_path):
         _save_cached(str(path), flipped)
 
 
+def test_false_cached_proof_does_not_block_the_fresh_witness(tmp_path):
+    # a well-formed vanishing record of (12, 1, 1) whose longest word
+    # (0, 0, 0) has a vanishing block: _load_cached refuses it, and the
+    # contradiction guard must not count it either, so the witness replaces it
+    path = _cell_path(tmp_path, 12, 1, 1)
+    false = Classification(12, 1, 1, "search", outcome=SearchOutcome((0, 0, 0), 6, "exhausted"))
+    assert scan_word((0, 0, 0), sum_plus_c_prod(ModulusContext(12), 1), 1)
+    _save_cached(path, false)
+    for _ in range(2):
+        cls = classify(12, 1, 1, cache_dir=str(tmp_path))
+        assert cls.verdict == NONVANISHING_PROVED and cls.witness is not None
+        with open(path) as fh:
+            assert Classification.from_dict(json.load(fh)).witness == cls.witness
+
+
 def test_corrupt_cache_is_recomputed(tmp_path):
     cls = classify(13, 1, 1, cache_dir=str(tmp_path))
     path = next(tmp_path.iterdir())

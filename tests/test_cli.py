@@ -201,6 +201,9 @@ def test_usage_errors(capsys, cache):
         code, out, err = run(capsys, "mine", "--n", "12", "--family", "sum_plus_c_prod:1",
                              "--limit", limit)
         assert code == EXIT_USAGE and "witness" not in out and "limit" in err, limit
+    for jobs in ("0", "-3"):  # not a serial run
+        code, out, err = run(capsys, "report", "--n-max", "3", "--m-set", "1", "--jobs", jobs)
+        assert code == EXIT_USAGE and out == "" and "jobs must be >= 1" in err, jobs
     # malformed tables: a number, a list of numbers, a string and a float entry
     for tables in ("3", "[3]", '[[0,1,"a"]]', "[[0,1,2.5]]"):
         code, _, err = run(capsys, "eval", "--n", "3", "--family",

@@ -36,6 +36,7 @@ from oracles import (
     naive_elementary_symmetric,
     naive_f_c,
     naive_value,
+    suffix_set_walk,
     vanishing_windows,
     xyr_brute_force,
 )
@@ -638,6 +639,42 @@ def test_suffix_set_walk_is_pinned():
         (1, 1, 1, 5, 1, 1, 6, 1, 2, 5, 1, 1, 4, 6, 1, 1, 1, 5, 1, 1, 6, 1, 2, 5, 1),
         264_712, "exhausted",
     )
+
+
+
+def assert_walk_matches_oracle(n, c, budgets=None):
+    """suffix_set_search at each budget (by default every one up to one
+    past exhaustion) stops where the plain walk of suffix_set_walk has
+    entered that many sets, or ends as it does; returns the budgets that
+    stop on a dead end."""
+    entered, (end, word) = suffix_set_walk(n, c)
+    budgets = budgets or range(1, len(entered) + 2)
+    fam = sum_plus_c_prod(ModulusContext(n), c)
+    for b in budgets:
+        found = suffix_set_search(fam, max_nodes=b)
+        if b <= len(entered):  # the b-th set entered meets the budget
+            deepest = max((w for w, _ in entered[:b]), key=len)
+            assert (found.states, found.certificate) == (b, None), (n, c, b)
+            assert found.outcome == SearchOutcome(deepest, b, "sets"), (n, c, b)
+        elif end == "cycle":
+            assert found.states == len(entered) and found.outcome is None, (n, c, b)
+            assert found.certificate.period == min_rotation(word), (n, c, b)
+        else:
+            assert found.states == len(entered) and found.certificate is None, (n, c, b)
+            assert found.outcome == SearchOutcome(word, len(entered), "exhausted"), (n, c, b)
+    return [b for b in budgets if b <= len(entered) and entered[b - 1][1]]
+
+
+def test_suffix_set_walk_matches_the_plain_walk_at_every_budget():
+    # every budget up to one past exhaustion for n <= 5, and a spread for
+    # (6, 5, 1); a budget that stops on a dead end (a set that forbids
+    # every symbol) stops on a set the walk enters without its own acc
+    dead_stops = []
+    for n in range(2, 6):
+        for c in range(n):
+            dead_stops += assert_walk_matches_oracle(n, c)
+    dead_stops += assert_walk_matches_oracle(6, 5, [1, 2, 63, 64, 65, 1000, 4321, 5783, 5784])
+    assert len(dead_stops) > 100
 
 
 def test_f0_at_m1_is_the_pigeonhole_word():
