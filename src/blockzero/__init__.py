@@ -17,7 +17,6 @@ from .classify import (
 )
 from .families import (
     FunctionalFamily,
-    Window,
     elementary_symmetric_family,
     newton_implication_check,
     power_sums,
@@ -27,7 +26,6 @@ from .families import (
 )
 from .ring import (
     ModulusContext,
-    PowerCycle,
     PreconditionError,
     is_cubic_residue,
     pow_cycle,
@@ -62,11 +60,9 @@ __all__ = [
     "FunctionalFamily",
     "ModulusContext",
     "PeriodicWord",
-    "PowerCycle",
     "PreconditionError",
     "REFUTED",
     "SearchOutcome",
-    "Window",
     "XYRSolution",
     "build_xyr_witness",
     "catalog_witness",

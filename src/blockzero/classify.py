@@ -199,16 +199,6 @@ def _cache_path(cache_dir: str, n: int, fam: FunctionalFamily, m: int) -> str:
     return os.path.join(cache_dir, f"cls_{n}_{family_hash(fam)}_{m}.json")
 
 
-def _read_cached(path: str) -> Classification | None:
-    """The record at path, or None when there is none or it is truncated
-    or malformed."""
-    try:
-        with open(path) as fh:
-            return Classification.from_dict(json.load(fh))
-    except (FileNotFoundError, ValueError, KeyError, TypeError, AttributeError):
-        return None
-
-
 def _load_cached(path: str, n: int, fam: FunctionalFamily, m: int) -> Classification | None:
     """The cached proved verdict of cell (n, fam, m), or None to recompute.
 
@@ -219,24 +209,25 @@ def _load_cached(path: str, n: int, fam: FunctionalFamily, m: int) -> Classifica
     m-window (scan_word); that no longer word avoids is not re-derived.
     The record derives its verdict, threshold and witness from that proof.
     An UNKNOWN records only that one budget ran out, so it is never
-    served: a later call may have more.  An unreadable or malformed file
-    is a miss too: a record from before outcomes had a stop, a copy of a
-    derived field that disagrees with its proof, or a proof that cannot
-    be re-derived."""
-    cls = _read_cached(path)
-    if cls is None or (cls.n, cls.c, cls.m) != (n, fam.c, m):
-        return None  # no record, or a file of another cell
-    cert, out = cls.certificate, cls.outcome
+    served: a later call may have more.  A missing, truncated or malformed
+    file is a miss too: a record from before outcomes had a stop, a copy
+    of a derived field that disagrees with its proof, or a hand-edited
+    proof that cannot be re-derived."""
     try:
+        with open(path) as fh:
+            cls = Classification.from_dict(json.load(fh))
+        if (cls.n, cls.c, cls.m) != (n, fam.c, m):
+            return None  # a file of another cell
         if cls.verdict == NONVANISHING_PROVED:
+            cert = cls.certificate
             ok = cert == verify_periodic(PeriodicWord(cert.period, n), fam, m)
         elif cls.verdict == VANISHING_PROVED:
-            word = out.longest_word
+            word = cls.outcome.longest_word
             ok = all(0 <= a < n for a in word) and not scan_word(word, fam, m)
         else:
             ok = False
-    except (ValueError, TypeError):
-        return None  # a hand-edited proof: recompute and replace it
+    except (FileNotFoundError, ValueError, KeyError, TypeError, AttributeError):
+        return None
     return cls if ok else None  # otherwise stale or corrupt: recompute
 
 
@@ -328,10 +319,12 @@ def classify(
 ) -> Classification:
     """A witness, else the avoidance search; Unknown absorbs budget
     exhaustion.  cap bounds the depth of the tree DFS (m >= 2) alone: the
-    m = 1 set search and the F_0 closed form decide at any depth.  It is
-    checked for every cell, whichever stage decides it."""
-    if n < 2 or m < 1 or cap < 2:
-        raise PreconditionError(f"need n >= 2, m >= 1 and cap >= 2, got n={n}, m={m}, cap={cap}")
+    m = 1 set search and the F_0 closed form decide at any depth, and
+    p_max bounds the miner's periods alone.  Both are checked for every
+    cell, whichever stage decides it."""
+    if n < 2 or m < 1 or cap < 2 or p_max < 1:
+        raise PreconditionError(f"need n >= 2, m >= 1, cap >= 2 and p_max >= 1, "
+                                f"got n={n}, m={m}, cap={cap}, p_max={p_max}")
     c %= n
     fam = sum_plus_c_prod(ModulusContext(n), c)
     path = _cache_path(cache_dir, n, fam, m) if cache_dir else None

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from math import gcd, prod
 
-from .ring import ModulusContext, PreconditionError, _pow_cycle
+from .ring import ModulusContext, PreconditionError, pow_cycle
 
 SUM_PLUS_C_PROD = "sum_plus_c_prod"
 TRANSFORMATION_SUMS = "transformation_sums"
@@ -180,15 +180,14 @@ def _k_periods_vanish(zero_sum: list[int], n: int, T: int, g: int, first: int) -
     with sum T and product g (mod q) vanishes.
 
     The powers of g mod q are periodic from g^(alpha + 1) on, with cycle
-    length beta (ring.pow_cycle), so each k <= alpha is tested directly.
-    Every k > alpha is e + j*beta with j >= 0 for one e among the beta
-    exponents that follow max(alpha, first - 1), and g^k = g^e.  Then
-    j*beta*T = zero_sum[g^e] - e*T (mod n) has a solution iff
-    gcd(beta*T, n) divides the right side, and some solution is >= 0,
+    length beta ((alpha, beta) = ring.pow_cycle(g, q)), so each k <= alpha
+    is tested directly.  Every k > alpha is e + j*beta with j >= 0 for one
+    e among the beta exponents that follow max(alpha, first - 1), and
+    g^k = g^e.  Then j*beta*T = zero_sum[g^e] - e*T (mod n) has a solution
+    iff gcd(beta*T, n) divides the right side, and some solution is >= 0,
     since solutions repeat mod n."""
     q = len(zero_sum)
-    cyc = _pow_cycle(g, q)
-    alpha, beta = cyc.preperiod, cyc.cycle_len
+    alpha, beta = pow_cycle(g, q)
     start = max(alpha, first - 1)
     if any(k * T % n == zero_sum[pow(g, k, q)] for k in range(first, start + 1)):
         return True
@@ -248,15 +247,6 @@ def family_from_descriptor(ctx: ModulusContext, desc: dict) -> FunctionalFamily:
         return build(ctx, desc[key] if key == "tables" else int(desc[key]))
     except (KeyError, TypeError, ValueError) as e:
         raise PreconditionError(f"malformed family descriptor {desc!r}: {e}") from None
-
-
-@dataclass(frozen=True)
-class Window:
-    """m consecutive blocks of equal length l starting at s."""
-
-    start: int
-    length: int
-    count: int
 
 
 def vanishing_pairs(fam: FunctionalFamily) -> set[tuple[int, int]]:

@@ -44,19 +44,6 @@ def is_prime(p: int) -> bool:
 
 
 @dataclass(frozen=True)
-class PowerCycle:
-    """Minimal (preperiod, cycle_len) of the power sequence g, g^2, g^3, ...
-
-    g^(preperiod + cycle_len + 1) == g^(preperiod + 1) mod n, with both
-    values minimal (indices count from the first power g^1).
-    """
-
-    base: int
-    preperiod: int
-    cycle_len: int
-
-
-@dataclass(frozen=True)
 class ModulusContext:
     """The ring Z_n, n >= 2."""
 
@@ -67,24 +54,21 @@ class ModulusContext:
             raise PreconditionError(f"modulus must be >= 2, got {self.n}")
 
 
-def pow_cycle(g: int, ctx: ModulusContext) -> PowerCycle:
-    """Detect the eventual cycle of g, g^2, g^3, ... mod n.
-
-    Returns the minimal preperiod alpha and cycle length beta such that
-    the sequence indexed from g^1 satisfies term[k + beta] == term[k]
-    for all k > alpha.  Memoised on (g mod n, n).
-    """
-    return _pow_cycle(g % ctx.n, ctx.n)
-
-
 @lru_cache(maxsize=4096)
-def _pow_cycle(g: int, n: int) -> PowerCycle:
+def pow_cycle(g: int, n: int) -> tuple[int, int]:
+    """The eventual cycle of g, g^2, g^3, ... mod n, n >= 1: the minimal
+    preperiod alpha and then the minimal cycle length beta such that the
+    sequence indexed from g^1 satisfies term[k + beta] == term[k] for all
+    k > alpha.  g need not be reduced mod n."""
+    if n < 1:
+        raise PreconditionError(f"modulus must be >= 1, got {n}")
+    g %= n
     seen: dict[int, int] = {}  # g^(k + 1) -> k
     x = g
     while x not in seen:
         seen[x] = len(seen)
         x = x * g % n
-    return PowerCycle(g, seen[x], len(seen) - seen[x])
+    return seen[x], len(seen) - seen[x]
 
 
 def sqrt_3mod4(a: int, p: int) -> int | None:

@@ -23,9 +23,9 @@ the block at residue t by period[(t + l - 1) mod P], and window (s, l)
 reads the residues (s + j*l) mod P: both depend on l only through l mod P.
 So if the P states at lengths l1 < l2 are equal and l2 = l1 (mod P), every
 length from l2 on repeats the verdicts of [l1, l2), which the pass has
-already checked.  The certificate's bound fields are computed as before:
-checked_max_l stays the certificate's length bound and the pass's upper
-limit, so the certificate does not depend on where the pass stopped.
+already checked.  The length bound checked_max_l = pre + per is both the
+pass's upper limit and a certificate field, so the certificate does not
+depend on where the pass stopped.
 
 A Certificate is plain data: its record follows the dataclass's fields,
 and a re-check is one comparison with a fresh verify_periodic
@@ -33,6 +33,7 @@ and a re-check is one comparison with a fresh verify_periodic
 
 Finite words are scanned on the same hook (scan_word: the blocks at every
 start grow in lockstep too): the family's hook is the one block-value path.
+A window is the pair (s, l) of its start and block length.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .families import FunctionalFamily, Window, family_from_descriptor
+from .families import FunctionalFamily, family_from_descriptor
 from .ring import ModulusContext, PreconditionError, pow_cycle
 from .words import PeriodicWord
 
@@ -92,8 +93,9 @@ class Certificate:
             raise PreconditionError(f"malformed certificate record: {e}") from None
 
 
-def scan_word(symbols: tuple[int, ...], fam: FunctionalFamily, m: int) -> list[Window]:
-    """All vanishing m-windows of the finite word symbols, ordered by (l, s)."""
+def scan_word(symbols: tuple[int, ...], fam: FunctionalFamily, m: int) -> list[tuple[int, int]]:
+    """The (s, l) of every vanishing m-window of the finite word symbols,
+    ordered by (l, s)."""
     if m < 1:
         raise PreconditionError(f"m must be >= 1, got {m}")
     L = len(symbols)
@@ -106,7 +108,7 @@ def scan_word(symbols: tuple[int, ...], fam: FunctionalFamily, m: int) -> list[W
         W = Z = fam.vanishing_mask(states)
         for j in range(1, m):
             W &= Z >> (j * l)
-        windows += [Window(s, l, m) for s in range(L - m * l + 1) if W >> s & 1]
+        windows += [(s, l) for s in range(L - m * l + 1) if W >> s & 1]
     return windows
 
 
@@ -137,8 +139,8 @@ def verify_periodic(pw: PeriodicWord, fam: FunctionalFamily, m: int) -> Certific
     and never scans beyond checked_max_l."""
     if m < 1:
         raise PreconditionError(f"m must be >= 1, got {m}")
-    ctx = fam.ctx
-    if pw.n != ctx.n:
+    n = fam.ctx.n
+    if pw.n != n:
         raise PreconditionError("periodic word and family moduli differ")
     tables = fam.sum_tables()
     if not tables:
@@ -147,12 +149,11 @@ def verify_periodic(pw: PeriodicWord, fam: FunctionalFamily, m: int) -> Certific
         )
     period = pw.canonical()
     P = len(period)
-    n = ctx.n
     G = math.prod(period) % n
     T = tuple(sum(t[x] for x in period) % n for t in tables)
-    cyc = pow_cycle(G, ctx)
-    pre = P * (cyc.preperiod + 1)
-    per = math.lcm(P * n, P * cyc.cycle_len)
+    alpha, beta = pow_cycle(G, n)
+    pre = P * (alpha + 1)
+    per = math.lcm(P * n, P * beta)
     checked_max_l = pre + per
     vanishing_mask = fam.vanishing_mask
     counter = None
@@ -184,8 +185,8 @@ def verify_periodic(pw: PeriodicWord, fam: FunctionalFamily, m: int) -> Certific
         period=period,
         G=G,
         T=T,
-        alpha=cyc.preperiod,
-        beta=cyc.cycle_len,
+        alpha=alpha,
+        beta=beta,
         pre=pre,
         per=per,
         checked_max_l=checked_max_l,

@@ -27,12 +27,11 @@ def min_rotation(seq: tuple[int, ...]) -> tuple[int, ...]:
     return min(seq[i:] + seq[:i] for i in range(len(seq)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PeriodicWord:
-    """An infinite periodic word, given by one period over Z_n.
-
-    Rotations of the same period denote the same necklace and compare
-    equal; the canonical form is the lexicographically minimal rotation.
+    """An infinite periodic word, given by one period over Z_n.  It
+    compares as data, (period, n); canonical() is its necklace, the
+    lexicographically minimal rotation, which every rotation shares.
     """
 
     period: tuple[int, ...]
@@ -45,11 +44,3 @@ class PeriodicWord:
 
     def canonical(self) -> tuple[int, ...]:
         return min_rotation(self.period)
-
-    def __eq__(self, other):
-        if not isinstance(other, PeriodicWord):
-            return NotImplemented
-        return self.n == other.n and self.canonical() == other.canonical()
-
-    def __hash__(self):
-        return hash((self.n, self.canonical()))

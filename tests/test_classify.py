@@ -120,7 +120,7 @@ def test_classify_lifts_divisor_catalogs(monkeypatch):
                            1).verdict == AVOIDING
     cls = classify(18, 1, 1)
     assert (cls.verdict, cls.provenance) == (NONVANISHING_PROVED, "catalog")
-    assert PeriodicWord(cls.witness, 18) == catalog_witness(18, 1, 1)
+    assert cls.witness == catalog_witness(18, 1, 1).canonical()
 
 
 def test_classify_search_examples():
@@ -389,6 +389,21 @@ def test_classify_preconditions():
     for c in (0, 1):
         with pytest.raises(PreconditionError):
             classify(5, c, 1, cap=1)
+
+
+def test_classify_checks_p_max_for_every_cell(tmp_path):
+    # whichever stage decides the cell: (6, 1, 2) has a catalog witness,
+    # (5, 0, 1) a closed form, and (4, 1, 1) mines before it searches; the
+    # message names p_max, not the miner's limit
+    for n, c, m in ((6, 1, 2), (5, 0, 1), (4, 1, 1)):
+        for p_max in (0, -1):
+            with pytest.raises(PreconditionError, match="p_max >= 1") as err:
+                classify(n, c, m, p_max=p_max)
+            assert "limit" not in str(err.value)
+    # a cached verdict is no way around it
+    assert classify(4, 1, 1, cache_dir=str(tmp_path)).verdict == VANISHING_PROVED
+    with pytest.raises(PreconditionError, match="p_max >= 1"):
+        classify(4, 1, 1, p_max=0, cache_dir=str(tmp_path))
 
 
 def test_classify_creates_its_cache_dir(tmp_path):

@@ -201,6 +201,12 @@ def test_usage_errors(capsys, cache):
         code, out, err = run(capsys, "mine", "--n", "12", "--family", "sum_plus_c_prod:1",
                              "--limit", limit)
         assert code == EXIT_USAGE and "witness" not in out and "limit" in err, limit
+    # p_max below 1 is refused for every cell, not only where the miner runs
+    for command in (("classify", "--n", "6", "--c", "1", "--m", "2"),
+                    ("classify", "--n", "5", "--c", "0"),
+                    ("report", "--n-max", "3", "--m-set", "1")):
+        code, out, err = run(capsys, *command, "--pmax", "0")
+        assert code == EXIT_USAGE and out == "" and "p_max >= 1" in err, command
     for jobs in ("0", "-3"):  # not a serial run
         code, out, err = run(capsys, "report", "--n-max", "3", "--m-set", "1", "--jobs", jobs)
         assert code == EXIT_USAGE and out == "" and "jobs must be >= 1" in err, jobs

@@ -8,8 +8,6 @@ from blockzero.ring import (
     factorize,
     is_cubic_residue,
     is_prime,
-    PowerCycle,
-    _pow_cycle,
     pow_cycle,
     sqrt_3mod4,
 )
@@ -36,20 +34,19 @@ def test_factorize_reconstructs(n):
 
 
 def test_pow_cycle_examples():
-    pc = pow_cycle(2, ModulusContext(4))
-    assert (pc.preperiod, pc.cycle_len) == (1, 1)
-    pc = pow_cycle(3, ModulusContext(7))
-    assert (pc.preperiod, pc.cycle_len) == (0, 6)
-    pc = pow_cycle(1, ModulusContext(5))
-    assert (pc.preperiod, pc.cycle_len) == (0, 1)
+    assert pow_cycle(2, 4) == (1, 1)
+    assert pow_cycle(3, 7) == (0, 6)
+    assert pow_cycle(1, 5) == (0, 1)
+    assert pow_cycle(9, 7) == (0, 3)  # 9 = 2 mod 7: the cycle 2, 4, 1
+    assert pow_cycle(5, 1) == (0, 1)  # Z_1, F_0's product ring
+    with pytest.raises(PreconditionError):
+        pow_cycle(2, 0)
 
 
 def test_pow_cycle_sound_and_minimal_exhaustive():
     for n in range(2, 31):
-        ctx = ModulusContext(n)
         for g in range(n):
-            pc = pow_cycle(g, ctx)
-            a, b = pc.preperiod, pc.cycle_len
+            a, b = pow_cycle(g, n)
             seq = [pow(g, k + 1, n) for k in range(a + 2 * b + 2)]
             assert seq[a + b] == seq[a]
 
@@ -67,11 +64,10 @@ def test_pow_cycle_sound_and_minimal_exhaustive():
 
 
 def test_pow_cycle_memo_matches_a_power_walk():
-    # the memo is keyed on (g mod n, n): every g over every n <= 40, g
-    # outside [0, n) included, against a plain walk g^1, g^2, ... to the
-    # first repeated power
+    # the memo is keyed on (g, n): every g over every n <= 40, g outside
+    # [0, n) included, against a plain walk g^1, g^2, ... to the first
+    # repeated power
     for n in range(2, 41):
-        ctx = ModulusContext(n)
         for g in range(-n, 2 * n):
             powers = []
             x = g % n
@@ -79,13 +75,22 @@ def test_pow_cycle_memo_matches_a_power_walk():
                 powers.append(x)
                 x = x * g % n
             alpha = powers.index(x)
-            assert pow_cycle(g, ctx) == PowerCycle(g % n, alpha, len(powers) - alpha)
+            assert pow_cycle(g, n) == (alpha, len(powers) - alpha)
     # one g under two moduli is two entries with two different cycles
-    _pow_cycle.cache_clear()
-    five, seven = pow_cycle(2, ModulusContext(5)), pow_cycle(2, ModulusContext(7))
-    assert (five.cycle_len, seven.cycle_len) == (4, 3)
-    assert _pow_cycle.cache_info().currsize == 2
-    assert pow_cycle(9, ModulusContext(7)) is seven  # 9 = 2 mod 7: a hit
+    pow_cycle.cache_clear()
+    five, seven = pow_cycle(2, 5), pow_cycle(2, 7)
+    assert (five[1], seven[1]) == (4, 3)
+    assert pow_cycle.cache_info().currsize == 2
+    assert pow_cycle(9, 7) == seven  # 9 = 2 mod 7
+
+
+def test_pow_cycle_reduces_its_base():
+    # a walk that starts at g >= n itself, not at g mod n, never returns
+    # to its first term, so its preperiod is one too long (9 mod 7: 1,
+    # where the true preperiod is 0)
+    for n in range(1, 31):
+        for g in range(3 * n):
+            assert pow_cycle(g, n) == pow_cycle(g % n, n), (g, n)
 
 
 def test_sqrt_3mod4_examples():

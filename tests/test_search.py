@@ -207,7 +207,7 @@ def test_mine_witness_matches_a_miner_without_skips(n, c, m):
     fam = sum_plus_c_prod(ctx, c)
     skipped = mirror_avoided = 0
     pre_refuted = any(
-        pow_cycle(prod(t), ctx).preperiod > 0 and fam.whole_periods_vanish(t)
+        pow_cycle(prod(t), n)[0] > 0 and fam.whole_periods_vanish(t)
         for P in range(1, 5)
         for t in _necklaces(tuple(range(n)), P)
     )

@@ -57,17 +57,23 @@ def test_periodic_word_negative_literals_reduce():
 def test_canonical_rotation_equality_exhaustive():
     from itertools import product
 
+    # every rotation of a period has the same canonical() necklace: the
+    # least rotation
     for n in range(2, 7):
         for P in range(1, 5):
             for t in product(range(n), repeat=P):
-                pw = PeriodicWord(t, n)
-                for i in range(P):
-                    rot = PeriodicWord(t[i:] + t[:i], n)
-                    assert rot == pw
-                    assert hash(rot) == hash(pw)
-    # distinct necklaces compare unequal
-    assert PeriodicWord((1, 2), 6) != PeriodicWord((1, 3), 6)
+                rotations = [t[i:] + t[:i] for i in range(P)]
+                canon = PeriodicWord(t, n).canonical()
+                assert canon == min(rotations)
+                assert all(PeriodicWord(r, n).canonical() == canon for r in rotations)
+    # distinct necklaces have distinct canonical forms
+    assert PeriodicWord((1, 2), 6).canonical() != PeriodicWord((1, 3), 6).canonical()
+    # a word compares as data: its period and modulus, not its necklace
+    assert PeriodicWord((1, 2), 6) == PeriodicWord((1, 2), 6)
+    assert PeriodicWord((2, 1), 6) != PeriodicWord((1, 2), 6)
     assert PeriodicWord((1, 2), 6) != PeriodicWord((1, 2), 12)
+    assert PeriodicWord((1, 8), 6) == PeriodicWord((1, 2), 6)  # symbols reduce mod n
+    assert hash(PeriodicWord((1, 2), 6)) == hash(PeriodicWord((1, 2), 6))
 
 
 def test_min_rotation():
