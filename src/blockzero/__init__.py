@@ -18,11 +18,9 @@ from .classify import (
 from .families import (
     FunctionalFamily,
     elementary_symmetric_family,
-    newton_implication_check,
     power_sums,
     sum_plus_c_prod,
     transformation_sums,
-    vanishing_pairs,
 )
 from .ring import (
     ModulusContext,
@@ -73,7 +71,6 @@ __all__ = [
     "load_certificate",
     "longest_avoiding_word",
     "mine_witness",
-    "newton_implication_check",
     "parse_symbols",
     "pow_cycle",
     "power_sums",
@@ -86,7 +83,6 @@ __all__ = [
     "suffix_set_search",
     "sum_plus_c_prod",
     "transformation_sums",
-    "vanishing_pairs",
     "verify_periodic",
     "xyr_solve",
 ]

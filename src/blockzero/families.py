@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from itertools import product
 from math import gcd, prod
 
 from .ring import ModulusContext, PreconditionError, pow_cycle
@@ -56,10 +55,6 @@ class FunctionalFamily:
         names = ("block_states", "extend_all", "vanishing_mask", "whole_periods_vanish", "_read")
         for name, f in zip(names, _bind_hook(self)):
             object.__setattr__(self, name, f)
-
-    @property
-    def output_dim(self) -> int:
-        return len(self.tables) if self.tables else 1
 
     def sum_tables(self) -> tuple[tuple[int, ...], ...]:
         """Tables whose running sums fully determine this family's block
@@ -247,43 +242,3 @@ def family_from_descriptor(ctx: ModulusContext, desc: dict) -> FunctionalFamily:
         return build(ctx, desc[key] if key == "tables" else int(desc[key]))
     except (KeyError, TypeError, ValueError) as e:
         raise PreconditionError(f"malformed family descriptor {desc!r}: {e}") from None
-
-
-def vanishing_pairs(fam: FunctionalFamily) -> set[tuple[int, int]]:
-    """All pairs (a, b) with f^(2)(a, b) == 0, for scalar families."""
-    if fam.output_dim != 1:
-        raise PreconditionError("vanishing_pairs requires a scalar-valued family")
-    n = fam.ctx.n
-    return {(a, b) for a in range(n) for b in range(n) if fam.value((a, b)) == (0,)}
-
-
-@dataclass(frozen=True)
-class NewtonReport:
-    status: str  # "holds" | "counterexample" | "partial"
-    counterexample: tuple[int, ...] | None
-    blocks_checked: int
-    max_len: int
-
-
-def newton_implication_check(
-    ctx: ModulusContext, r: int, max_len: int, budget: int = 2_000_000
-) -> NewtonReport:
-    """Search for a block whose first r power sums all vanish mod n while
-    e_r does not.
-
-    Enumerates all blocks of length 2..max_len in lexicographic order and
-    returns the first counterexample, "holds" if none exists, or a partial
-    status once the evaluation budget runs out.
-    """
-    if r < 1 or max_len < r:
-        raise PreconditionError(f"need r >= 1 and max_len >= r, got r={r}, max_len={max_len}")
-    sums, e_r = power_sums(ctx, r), elementary_symmetric_family(ctx, r)
-    checked = 0
-    for length in range(2, max_len + 1):
-        for block in product(range(ctx.n), repeat=length):
-            checked += 1
-            if checked > budget:
-                return NewtonReport("partial", None, checked - 1, max_len)
-            if not any(sums.value(block)) and e_r.value(block) != (0,):
-                return NewtonReport("counterexample", block, checked, max_len)
-    return NewtonReport("holds", None, checked, max_len)

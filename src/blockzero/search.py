@@ -23,6 +23,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, fields
 from functools import reduce
+from itertools import combinations_with_replacement
+from math import gcd
 from operator import getitem, or_
 
 from .families import FunctionalFamily
@@ -369,36 +371,39 @@ class MineResult:
     witnesses: tuple
     complete: bool  # False when the deadline or the limit stopped the enumeration
     candidates_checked: int
-    # the candidates that went to verify_periodic: not those refuted by a
-    # smaller mirror or by whole periods (fam.whole_periods_vanish)
-    verified: int
+    verified: int  # the candidates verify_periodic saw: none refuted by a class or a mirror
 
 
-def _necklaces(symbols: tuple[int, ...], P: int):
-    """Every necklace of length P over the sorted symbols, as its
-    lexicographically least rotation, non-primitive ones included, in
-    lexicographic order.
+def _necklace_count(k: int, P: int) -> int:
+    """The number of necklaces of length P over k symbols, by Burnside's lemma."""
+    return sum(k ** gcd(i, P) for i in range(P)) // P
 
-    This is the iterative FKM algorithm (Fredricksen & Maiorana 1978;
-    Ruskey, Savage & Wang 1992): bump the last index below the top and
-    repeat the first j + 1 indices to length P.  That walks the
-    prenecklaces in order, and a prenecklace whose period p divides P is
-    a necklace."""
-    k = len(symbols)
-    a = [0] * P
-    p = 1
-    while True:
-        if P % p == 0:
-            yield tuple([symbols[i] for i in a])
-        j = P - 1
-        while j >= 0 and a[j] == k - 1:
-            j -= 1
-        if j < 0:
+
+def _necklaces(content: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every necklace with this content (a sorted tuple, each symbol as
+    often as the necklace holds it) as its least rotation, non-primitive
+    ones included, in lexicographic order: the FKM recursion with fixed
+    content (Ruskey, Savage & Wang 1992; Sawada 2003).  From the least
+    symbol, a prenecklace of period p grows at t by each symbol j >= a[t - p]
+    left, keeping p iff j == a[t - p]; it is a necklace iff p divides P."""
+    symbols = sorted(set(content))
+    left = [content.count(x) for x in symbols]
+    P, a, out = len(content), [0] * len(content), []
+
+    def extend(t: int, p: int) -> None:
+        if t == P:
+            if P % p == 0:
+                out.append(tuple([symbols[i] for i in a]))
             return
-        a[j] += 1
-        p = j + 1
-        for i in range(p, P):
-            a[i] = a[i - p]
+        for j in range(a[t - p], len(symbols)):
+            if left[j]:
+                a[t], left[j] = j, left[j] - 1
+                extend(t + 1, p if j == a[t - p] else t + 1)
+                left[j] += 1
+
+    left[0] -= 1
+    extend(1, 1)
+    return out
 
 
 def mine_witness(
@@ -413,31 +418,31 @@ def mine_witness(
     """Enumerate canonical necklaces of period <= p_max and keep every one
     whose infinite repetition is certified avoiding.
 
-    Necklaces are generated directly, in lexicographic order.  Most are
-    refuted with no scan by fam.whole_periods_vanish: a block of k whole
-    periods vanishes, and with it the window at 0 of that length, for every
-    m.  Such a necklace is skipped; its mirror (below) reaches the same test
-    by itself, since reversal keeps the period's sum and product.  The rest
-    go to verify_periodic, which stops at the first vanishing window or
-    repeated state vector.  A necklace shares its verdict with its mirror,
-    the period reversed, since block values are symmetric functions and
-    reversing the periodic word maps each m-window of blocks of length l to
-    one of the mirror's.  A verified necklace whose mirror comes later
-    records it with its verdict; the mirror is then skipped if refuted, or
-    verified for its own certificate if it avoids (it counts as checked).
+    The walk goes by content class, one length P at a time: each multiset
+    of P symbols is tested once by fam.whole_periods_vanish (it reads only
+    the sum, the product and whether P = 1), which refutes every necklace
+    of a class for every m: a block of k whole periods vanishes.  The
+    surviving classes' necklaces are generated, sorted and verified by
+    verify_periodic.  A necklace shares its verdict with its mirror (the
+    period reversed: same content), as block values are symmetric; a
+    verified one records its later mirror, which is then skipped if
+    refuted, or verified for its own certificate if it avoids.
 
-    alphabet is the set of symbols tried (e.g. nonzero residues, or the
-    residues below a divisor of n); it is reduced mod n, and order and
-    repeats do not matter.  The result is incomplete (complete=False) when
-    the deadline passes or when limit witnesses have been found before the
-    enumeration ends.  ctx must be the family's own modulus, fam.ctx.
+    candidates_checked counts each P's refuted necklaces at once (by
+    Burnside's count, none generated), then its survivors one by one, so
+    a stop among P's survivors has counted all of P's refuted ones.
+    alphabet is the set of symbols tried, reduced mod n.  The result is
+    incomplete (complete=False) when the deadline passes or limit
+    witnesses are found before the enumeration ends.  ctx must be fam.ctx.
     """
     if ctx != fam.ctx:
         raise PreconditionError(f"{ctx} is not the family's modulus {fam.ctx}")
     if m < 1:
         raise PreconditionError(f"m must be >= 1, got {m}")
-    if p_max < 1 or (limit is not None and limit < 1):
-        raise PreconditionError(f"p_max and limit must be >= 1, got {p_max} and {limit}")
+    if p_max < 1:
+        raise PreconditionError(f"p_max must be >= 1, got {p_max}")
+    if limit is not None and limit < 1:
+        raise PreconditionError(f"limit must be >= 1, got {limit}")
     n = ctx.n
     symbols = tuple(sorted({a % n for a in alphabet})) if alphabet is not None else tuple(range(n))
     if not symbols:
@@ -446,14 +451,22 @@ def mine_witness(
     witnesses = []
     checked = verified = 0
     for P in range(1, p_max + 1):
+        survivors = []
+        for content in combinations_with_replacement(symbols, P):
+            if deadline is not None and time.monotonic() > deadline:
+                return MineResult(tuple(witnesses), False, checked, verified)
+            if not whole_periods_vanish(content):
+                survivors += _necklaces(content)
+        survivors.sort()
+        checked += _necklace_count(len(symbols), P) - len(survivors)
         known: dict[tuple[int, ...], bool] = {}  # later mirror -> whether it avoids
-        for t in _necklaces(symbols, P):
+        for t in survivors:
             if deadline is not None and time.monotonic() > deadline:
                 return MineResult(tuple(witnesses), False, checked, verified)
             checked += 1
             avoids = known.pop(t, None)
-            if avoids is False or whole_periods_vanish(t):
-                continue  # refuted by its smaller mirror, or by k whole periods
+            if avoids is False:
+                continue  # refuted by its smaller mirror
             pw = PeriodicWord(t, n)
             cert = verify_periodic(pw, fam, m)
             verified += 1

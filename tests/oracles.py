@@ -2,11 +2,17 @@
 
 Everything here is deliberately naive and self-contained: plain folds,
 breadth-first enumeration, subset expansion.  Nothing imports the package
-internals whose answers these oracles are checking.
+internals whose answers these oracles are checking.  The family probes at
+the end (vanishing_pairs, newton_implication_check) are test-only code that
+calls a family's value.
 """
 
-from itertools import combinations
+from dataclasses import dataclass
+from itertools import combinations, product
 from math import prod
+
+from blockzero.families import elementary_symmetric_family, power_sums
+from blockzero.ring import PreconditionError
 
 
 def naive_block_sum(symbols, n, table=None):
@@ -226,3 +232,75 @@ def suffix_set_walk(n, c):
         want = longest[values(word)] - 1
         word += (min(a for a in allowed(word) if longest[values(word + (a,))] == want),)
     return entered, ("exhausted", word)
+
+
+def necklaces(symbols, P):
+    """Every word of length P over the symbols that is its own least
+    rotation, in lexicographic order: the filtered product."""
+    symbols = sorted(symbols)
+    return [
+        t for t in product(symbols, repeat=P)
+        if t == min(t[i:] + t[:i] for i in range(P))
+    ]
+
+
+def count_necklaces(k, P):
+    """The number of rotation classes of the k**P words of length P over k
+    symbols, counted by marking each class's words as base-k integers."""
+    seen, top, count = bytearray(k**P), k ** (P - 1), 0
+    for w in range(k**P):
+        if seen[w]:
+            continue
+        count += 1
+        for _ in range(P):
+            seen[w] = 1
+            w = w % top * k + w // top
+    return count
+
+
+# Probes of a family's values that only the tests use.  Unlike the oracles
+# above they call the package (FunctionalFamily.value), which is what they
+# check.
+
+
+def output_dim(fam):
+    """The length of a value vector of fam."""
+    return len(fam.tables) if fam.tables else 1
+
+
+def vanishing_pairs(fam):
+    """All pairs (a, b) with f^(2)(a, b) == 0, for scalar families."""
+    if output_dim(fam) != 1:
+        raise PreconditionError("vanishing_pairs requires a scalar-valued family")
+    n = fam.ctx.n
+    return {(a, b) for a in range(n) for b in range(n) if fam.value((a, b)) == (0,)}
+
+
+@dataclass(frozen=True)
+class NewtonReport:
+    status: str  # "holds" | "counterexample" | "partial"
+    counterexample: tuple | None
+    blocks_checked: int
+    max_len: int
+
+
+def newton_implication_check(ctx, r, max_len, budget=2_000_000):
+    """Search for a block whose first r power sums all vanish mod n while
+    e_r does not.
+
+    Enumerates all blocks of length 2..max_len in lexicographic order and
+    returns the first counterexample, "holds" if none exists, or a partial
+    status once the evaluation budget runs out.
+    """
+    if r < 1 or max_len < r:
+        raise PreconditionError(f"need r >= 1 and max_len >= r, got r={r}, max_len={max_len}")
+    sums, e_r = power_sums(ctx, r), elementary_symmetric_family(ctx, r)
+    checked = 0
+    for length in range(2, max_len + 1):
+        for block in product(range(ctx.n), repeat=length):
+            checked += 1
+            if checked > budget:
+                return NewtonReport("partial", None, checked - 1, max_len)
+            if not any(sums.value(block)) and e_r.value(block) != (0,):
+                return NewtonReport("counterexample", block, checked, max_len)
+    return NewtonReport("holds", None, checked, max_len)

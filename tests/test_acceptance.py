@@ -16,7 +16,7 @@ from blockzero.classify import (
     catalog_witness,
     reproduce_table,
 )
-from blockzero.families import newton_implication_check, sum_plus_c_prod
+from blockzero.families import sum_plus_c_prod
 from blockzero.ring import ModulusContext, is_prime
 from blockzero.search import (
     CAP_REACHED,
@@ -41,7 +41,9 @@ from oracles import (
     naive_block_product,
     naive_block_sum,
     naive_f_c,
+    newton_implication_check,
     unroll,
+    vanishing_pairs,
 )
 
 
@@ -195,8 +197,6 @@ def test_criterion_6_property_suites():
             failures.append(f"block product mismatch n={n} {symbols} ({s},{l})")
             break
     # F_1 pair characterization, exhaustive n <= 30
-    from blockzero.families import vanishing_pairs
-
     for n in range(2, 31):
         ctx = ModulusContext(n)
         got = vanishing_pairs(sum_plus_c_prod(ctx, 1))

@@ -197,10 +197,16 @@ def test_usage_errors(capsys, cache):
     for family in ("sum_plus_c_prod:0", "sum_plus_c_prod:1"):
         code, out, err = run(capsys, "mine", "--n", "5", "--family", family, "--m", "0")
         assert code == EXIT_USAGE and "enumeration_complete" not in out and "m must be" in err
+    # each of p_max and limit is checked on its own, and its message names
+    # only that argument
     for limit in ("0", "-3"):
         code, out, err = run(capsys, "mine", "--n", "12", "--family", "sum_plus_c_prod:1",
                              "--limit", limit)
-        assert code == EXIT_USAGE and "witness" not in out and "limit" in err, limit
+        assert code == EXIT_USAGE and "witness" not in out, limit
+        assert "limit must be >= 1" in err and "p_max" not in err, limit
+    code, out, err = run(capsys, "mine", "--n", "5", "--family", "sum_plus_c_prod:1", "--pmax", "0")
+    assert code == EXIT_USAGE and "witness" not in out
+    assert "p_max must be >= 1" in err and "limit" not in err
     # p_max below 1 is refused for every cell, not only where the miner runs
     for command in (("classify", "--n", "6", "--c", "1", "--m", "2"),
                     ("classify", "--n", "5", "--c", "0"),

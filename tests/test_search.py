@@ -1,6 +1,6 @@
 import time
 from dataclasses import replace
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import prod
 
 import pytest
@@ -18,6 +18,7 @@ from blockzero.search import (
     EXHAUSTED,
     InternalInvariantError,
     SearchOutcome,
+    _necklace_count,
     _necklaces,
     build_xyr_witness,
     longest_avoiding_word,
@@ -32,10 +33,12 @@ from oracles import (
     Lcg,
     bfs_threshold,
     bfs_threshold_tables,
+    count_necklaces,
     first_vanishing_window,
     naive_elementary_symmetric,
     naive_f_c,
     naive_value,
+    necklaces,
     suffix_set_walk,
     vanishing_windows,
     xyr_brute_force,
@@ -160,8 +163,9 @@ def test_mine_witness_examples():
     "n, m, p_max, limit, periods, checked, complete",
     [
         (12, 1, 2, None, [(2, 10)], 90, True),
-        # the limit stops the enumeration, so it is incomplete
-        (6, 2, 4, 1, [(1, 2)], 14, False),
+        # the limit stops the enumeration, so it is incomplete; the count
+        # holds all 18 necklaces of length 2 that whole periods refute
+        (6, 2, 4, 1, [(1, 2)], 20, False),
         # a witness and its mirror image, each with its own certificate
         (7, 2, 3, None, [(1, 2, 4), (1, 4, 2)], 154, True),
     ],
@@ -175,15 +179,30 @@ def test_mine_witness_pinned(n, m, p_max, limit, periods, checked, complete):
     assert res.complete is complete
 
 
+@pytest.mark.parametrize(
+    "n, c, m, p_max, witnesses, checked, verified",
+    [(11, 10, 2, 4, 0, 4224, 165), (10, 1, 2, 4, 161, 2935, 332), (23, 1, 1, 3, 7, 4370, 102)],
+)
+def test_mine_witness_complete_counts(n, c, m, p_max, witnesses, checked, verified):
+    # complete enumerations count every necklace, refuted classes included
+    ctx = ModulusContext(n)
+    res = mine_witness(ctx, sum_plus_c_prod(ctx, c), m, p_max)
+    assert (len(res.witnesses), res.candidates_checked, res.verified) == (witnesses, checked, verified)
+    assert res.complete
+
+
 def reference_mine(n, fam, m, p_max, symbols, limit):
-    """The miner with no symmetry skip: every necklace over the sorted
-    symbols, in lexicographic order, is verified."""
+    """The miner with no skip: every necklace over the symbols, in
+    lexicographic order, is verified.  It counts as the miner does: a
+    length's necklaces that whole periods refute all at once, then the
+    others one by one up to a stop."""
     witnesses, checked = [], 0
     for P in range(1, p_max + 1):
-        for t in product(symbols, repeat=P):
-            if t != min_rotation(t):
-                continue
-            checked += 1
+        batch = necklaces(symbols, P)
+        refuted = [fam.whole_periods_vanish(t) for t in batch]
+        checked += sum(refuted)
+        for t, skip in zip(batch, refuted):
+            checked += not skip
             cert = verify_periodic(PeriodicWord(t, n), fam, m)
             if cert.verdict == AVOIDING:
                 witnesses.append(cert)
@@ -209,7 +228,7 @@ def test_mine_witness_matches_a_miner_without_skips(n, c, m):
     pre_refuted = any(
         pow_cycle(prod(t), n)[0] > 0 and fam.whole_periods_vanish(t)
         for P in range(1, 5)
-        for t in _necklaces(tuple(range(n)), P)
+        for t in necklaces(range(n), P)
     )
     for d in (d for d in range(2, n + 1) if n % d == 0):
         for limit in (None, 1):
@@ -237,7 +256,7 @@ def test_whole_period_refutations_are_refuted_by_verify():
         for c in range(n):
             fam = sum_plus_c_prod(ctx, c)
             for P in (1, 2, 3):
-                for t in _necklaces(tuple(range(n)), P):
+                for t in necklaces(range(n), P):
                     if not fam.whole_periods_vanish(t):
                         continue
                     ks = range(-(-2 // P), 2 * n * n)  # k*P >= 2
@@ -248,11 +267,24 @@ def test_whole_period_refutations_are_refuted_by_verify():
 
 
 def test_necklaces_match_filtered_tuples():
+    # the content classes partition the necklaces, and each class comes
+    # out sorted, holding its own content
     for k in range(1, 7):
         symbols = tuple(range(0, 2 * k, 2))  # gaps: indices are not symbols
         for P in range(1, 6):
-            want = [t for t in product(symbols, repeat=P) if t == min_rotation(t)]
-            assert list(_necklaces(symbols, P)) == want, (k, P)
+            union = []
+            for content in combinations_with_replacement(symbols, P):
+                got = _necklaces(content)
+                assert got == sorted(got), content
+                assert all(tuple(sorted(t)) == content for t in got), content
+                union += got
+            assert sorted(union) == necklaces(symbols, P), (k, P)
+
+
+def test_necklace_count_matches_a_brute_force_count():
+    for k in range(1, 7):
+        for P in range(1, 9):
+            assert _necklace_count(k, P) == count_necklaces(k, P), (k, P)
 
 
 def test_mine_alphabet_is_a_set():
