@@ -130,7 +130,7 @@ def catalog_witness(n: int, c: int, m: int) -> PeriodicWord | None:
             return PeriodicWord((3, n - 3), n)
         if n % 9 == 0:
             return PeriodicWord((7, 4, 4), n)
-    if c in (1, n - 1) and c != 0:
+    if c in (1, n - 1):
         q = _has_pq2(n)
         if q is not None:
             return PeriodicWord((q, n - q), n)
@@ -231,12 +231,12 @@ def _load_cached(path: str, n: int, fam: FunctionalFamily, m: int) -> Classifica
     return cls if ok else None  # otherwise stale or corrupt: recompute
 
 
-def _save_cached(path: str, cls: Classification) -> None:
-    """Write cls to path.  A proved verdict of the same cell there whose
-    proof holds (_load_cached serves it) must not flip; any other file, a
-    record whose proof fails included, is simply replaced."""
+def _save_cached(path: str, fam: FunctionalFamily, cls: Classification) -> None:
+    """Write cls, a cell of fam, to path.  A proved verdict of the same cell
+    there whose proof holds (_load_cached serves it) must not flip; any
+    other file, a record whose proof fails included, is simply replaced."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    old = _load_cached(path, cls.n, sum_plus_c_prod(ModulusContext(cls.n), cls.c), cls.m)
+    old = _load_cached(path, cls.n, fam, cls.m)
     if old is not None and {old.verdict, cls.verdict} == {VANISHING_PROVED, NONVANISHING_PROVED}:
         raise ContradictionError(
             f"cache at {path} holds {old.verdict} but new result is {cls.verdict}"
@@ -362,39 +362,15 @@ def classify(
         nodes = outcome.nodes_expanded
     cls = Classification(n, c, m, provenance, cert, outcome, nodes, elapsed_ms)
     if path:
-        _save_cached(path, cls)
+        _save_cached(path, fam, cls)
     return cls
 
 
-@dataclass(frozen=True)
-class CellResult:
-    """A classified cell, with the known classification of its cell
-    (expected_verdict) and whether its verdict contradicts it."""
-
-    classification: Classification
-    expected: str | None = field(init=False)
-    contradiction: bool = field(init=False)
-
-    def __post_init__(self):
-        cls = self.classification
-        expected = expected_verdict(cls.n, cls.c, cls.m)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "contradiction", is_contradiction(cls, expected))
-
-
-@dataclass(frozen=True)
-class TableReport:
-    cells: tuple[CellResult, ...]
-    reproducer_paths: tuple[str, ...] = ()
-
-    @property
-    def contradictions(self) -> tuple[CellResult, ...]:
-        return tuple(cell for cell in self.cells if cell.contradiction)
-
-
-def is_contradiction(cls: Classification, expected: str | None) -> bool:
+def is_contradiction(cls: Classification) -> bool:
+    """Whether cls's verdict proves the opposite of the known classification
+    of its cell (expected_verdict); UNKNOWN never contradicts."""
     flips = ((VANISHING, NONVANISHING_PROVED), (NONVANISHING, VANISHING_PROVED))
-    return (expected, cls.verdict) in flips
+    return (expected_verdict(cls.n, cls.c, cls.m), cls.verdict) in flips
 
 
 def _cell_args(n_max, m_set):
@@ -413,14 +389,19 @@ def reproduce_table(
     max_nodes: int = 300_000,
     cache_dir: str | None = None,
     jobs: int = 1,
-) -> TableReport:
-    """Classify the whole grid and flag verdicts contradicting the known
-    classification; Unknown never contradicts.
+) -> tuple[Classification, ...]:
+    """The classification of every cell of the grid, in report order: n
+    from 2 to n_max, c in {0, 1, -1} mod n, m in m_set.
 
     classify itself is mapped over the cells, in this process or, for
     jobs > 1, in a pool of jobs processes; either way each call reads and
     writes its own cell's cache entry, so both give the same report and
-    leave the same cache.  jobs below 1 is refused."""
+    leave the same cache.  An empty grid (n_max below 2, or no m) and jobs
+    below 1 are refused."""
+    if n_max < 2:
+        raise PreconditionError(f"n_max must be >= 2, got {n_max}")
+    if not m_set:
+        raise PreconditionError("m_set must hold at least one m")
     if jobs < 1:
         raise PreconditionError(f"jobs must be >= 1, got {jobs}")
     grid = list(_cell_args(n_max, m_set))
@@ -430,35 +411,20 @@ def reproduce_table(
         from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay its import
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(classify, *args))
-    else:
-        results = list(map(classify, *args))
-    cells = tuple(map(CellResult, results))
-    dumps = []
-    for cell in cells:
-        if cell.contradiction and cache_dir:
-            cls = cell.classification
-            dump = os.path.join(cache_dir, f"contradiction_{cls.n}_{cls.c}_{cls.m}.json")
-            with open(dump, "w") as fh:
-                json.dump(
-                    {"expected": cell.expected, "classification": cls.to_dict()},
-                    fh, indent=1, sort_keys=True,
-                )
-            dumps.append(dump)
-    return TableReport(cells, tuple(dumps))
+            return tuple(pool.map(classify, *args))
+    return tuple(map(classify, *args))
 
 
-def render_table(report: TableReport) -> str:
+def render_table(cells: tuple[Classification, ...]) -> str:
     """One line per cell, then the cells and summed elapsed_ms of each
     outcome ("witness" for a non-vanishing proof, else the search's stop),
     then the number of contradictions."""
     spent = {k: [0, 0] for k in ("witness", EXHAUSTED, "cap", "nodes", "sets", "deadline")}
-    lines = []
+    lines, contradictions = [], 0
     header = f"{'n':>3} {'c':>3} {'m':>2}  {'verdict':22} {'provenance':10} {'detail'}"
     lines.append(header)
     lines.append("-" * len(header))
-    for cell in report.cells:
-        cls = cell.classification
+    for cls in cells:
         if cls.verdict == NONVANISHING_PROVED:
             stop, detail = "witness", "witness " + ",".join(map(str, cls.witness))
         elif cls.verdict == VANISHING_PROVED:
@@ -473,13 +439,14 @@ def render_table(report: TableReport) -> str:
             }[out.stop]
         spent[stop][0] += 1
         spent[stop][1] += cls.elapsed_ms
-        if cell.contradiction:
+        if is_contradiction(cls):
+            contradictions += 1
             detail += "  ** CONTRADICTS KNOWN CLASSIFICATION **"
         lines.append(
             f"{cls.n:>3} {cls.c:>3} {cls.m:>2}  {cls.verdict:22} {str(cls.provenance):10} {detail}"
         )
     lines.append("time by outcome: " + ", ".join(
-        f"{stop} {cells} cells {ms} ms" for stop, (cells, ms) in spent.items() if cells
+        f"{stop} {count} cells {ms} ms" for stop, (count, ms) in spent.items() if count
     ))
-    lines.append(f"{len(report.contradictions)} contradiction(s)")
+    lines.append(f"{contradictions} contradiction(s)")
     return "\n".join(lines)

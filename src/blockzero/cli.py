@@ -117,13 +117,13 @@ def cmd_search(args) -> int:
     out = longest_avoiding_word(fam, args.m, args.cap, max_nodes=args.max_nodes, deadline=deadline)
     print(f"status: {out.status}")
     print(f"stop: {out.stop}")
-    if out.status == EXHAUSTED:
+    if out.stop == EXHAUSTED:
         print(f"threshold: {out.threshold}")
     print("longest_word: " + ",".join(map(str, out.longest_word)))
     print(f"nodes_expanded: {out.nodes_expanded}")
     cache_dir = resolve_cache_dir(args.cache_dir)
     append_run_record(cache_dir, args, out.status, [])
-    return EXIT_OK if out.status == EXHAUSTED else EXIT_BUDGET
+    return EXIT_OK if out.stop == EXHAUSTED else EXIT_BUDGET
 
 
 def cmd_mine(args) -> int:
@@ -164,8 +164,8 @@ def cmd_classify(args) -> int:
     if cls.verdict == UNKNOWN:
         print(f"stop: {cls.outcome.stop}")
     append_run_record(cache_dir, args, cls.verdict, [])
-    expected = expected_verdict(cls.n, cls.c, cls.m)
-    if is_contradiction(cls, expected):
+    if is_contradiction(cls):
+        expected = expected_verdict(cls.n, cls.c, cls.m)
         print(f"contradiction: the known classification is {expected}", file=sys.stderr)
         return EXIT_CONTRADICTION
     return EXIT_BUDGET if cls.verdict == UNKNOWN else EXIT_OK
@@ -180,21 +180,27 @@ def cmd_xyr(args) -> int:
 
 def cmd_report(args) -> int:
     cache_dir = resolve_cache_dir(args.cache_dir)
-    report = reproduce_table(
+    cells = reproduce_table(
         args.n_max,
         m_set=tuple(int(m) for m in args.m_set.split(",")),
         budget_ms=args.budget_ms, cap=args.cap, p_max=args.pmax,
         max_nodes=args.max_nodes, cache_dir=cache_dir, jobs=args.jobs,
     )
-    print(render_table(report))
+    print(render_table(cells))
+    records = [{"classification": cls.to_dict(), "expected": expected_verdict(cls.n, cls.c, cls.m),
+                "contradiction": is_contradiction(cls)} for cls in cells]
+    dumps = []  # each contradicting cell's record, on its own
+    for cls, rec in zip(cells, records):
+        if rec["contradiction"]:
+            dumps.append(os.path.join(cache_dir, f"contradiction_{cls.n}_{cls.c}_{cls.m}.json"))
+            with open(dumps[-1], "w") as fh:
+                json.dump(rec, fh, indent=1, sort_keys=True)
     if args.json_out:
-        # each cell's fields: its classification, expected and contradiction
-        cells = [{**vars(c), "classification": c.classification.to_dict()} for c in report.cells]
         with open(args.json_out, "w") as fh:
-            json.dump({"cells": cells}, fh, indent=1, sort_keys=True)
-    append_run_record(cache_dir, args, f"{len(report.contradictions)} contradictions",
-                      list(report.reproducer_paths) + ([args.json_out] if args.json_out else []))
-    return EXIT_CONTRADICTION if report.contradictions else EXIT_OK
+            json.dump({"cells": records}, fh, indent=1, sort_keys=True)
+    append_run_record(cache_dir, args, f"{len(dumps)} contradictions",
+                      dumps + ([args.json_out] if args.json_out else []))
+    return EXIT_CONTRADICTION if dumps else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,10 +301,7 @@ def main(argv=None) -> int:
     except ContradictionError as e:
         print(f"contradiction: {e}", file=sys.stderr)
         return EXIT_CONTRADICTION
-    except PreconditionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, json.JSONDecodeError, ValueError) as e:
+    except (OSError, ValueError) as e:  # PreconditionError and JSONDecodeError among them
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -14,6 +14,7 @@ from conftest import record_acceptance as report
 from blockzero.classify import (
     NONVANISHING_PROVED,
     catalog_witness,
+    is_contradiction,
     reproduce_table,
 )
 from blockzero.families import sum_plus_c_prod
@@ -232,15 +233,15 @@ def test_criterion_6_property_suites():
 
 def test_criterion_7_reproduce_table(tmp_path):
     failures = []
-    rep = reproduce_table(
+    cells = reproduce_table(
         18, m_set=(1, 2),
         budget_ms=60_000, cap=24, p_max=4, max_nodes=300_000,
         cache_dir=str(tmp_path),
     )
-    if rep.contradictions:
-        failures.append(f"{len(rep.contradictions)} contradiction(s)")
-    for cell in rep.cells:
-        cls = cell.classification
+    contradictions = sum(map(is_contradiction, cells))
+    if contradictions:
+        failures.append(f"{contradictions} contradiction(s)")
+    for cls in cells:
         if cls.verdict != NONVANISHING_PROVED:
             continue
         if catalog_witness(cls.n, cls.c, cls.m) is not None and cls.provenance != "catalog":

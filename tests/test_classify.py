@@ -13,15 +13,14 @@ from blockzero.classify import (
     UNKNOWN,
     VANISHING,
     VANISHING_PROVED,
-    CellResult,
     Classification,
     ContradictionError,
-    TableReport,
     _cache_path,
     _save_cached,
     catalog_witness,
     classify,
     expected_verdict,
+    is_contradiction,
     render_table,
     reproduce_table,
 )
@@ -234,7 +233,7 @@ def test_cache_rejects_contradictory_overwrite(tmp_path):
                              outcome=SearchOutcome((0, 1, 0), 6, "exhausted"))
     assert (flipped.verdict, flipped.threshold) == (VANISHING_PROVED, 4)
     with pytest.raises(ContradictionError):
-        _save_cached(str(path), flipped)
+        _save_cached(str(path), sum_plus_c_prod(ModulusContext(12), 1), flipped)
 
 
 def test_false_cached_proof_does_not_block_the_fresh_witness(tmp_path):
@@ -243,8 +242,9 @@ def test_false_cached_proof_does_not_block_the_fresh_witness(tmp_path):
     # contradiction guard must not count it either, so the witness replaces it
     path = _cell_path(tmp_path, 12, 1, 1)
     false = Classification(12, 1, 1, "search", outcome=SearchOutcome((0, 0, 0), 6, "exhausted"))
-    assert scan_word((0, 0, 0), sum_plus_c_prod(ModulusContext(12), 1), 1)
-    _save_cached(path, false)
+    fam = sum_plus_c_prod(ModulusContext(12), 1)
+    assert scan_word((0, 0, 0), fam, 1)
+    _save_cached(path, fam, false)
     for _ in range(2):
         cls = classify(12, 1, 1, cache_dir=str(tmp_path))
         assert cls.verdict == NONVANISHING_PROVED and cls.witness is not None
@@ -391,6 +391,17 @@ def test_classify_preconditions():
             classify(5, c, 1, cap=1)
 
 
+def test_reproduce_table_refuses_an_empty_grid(tmp_path):
+    # no cell to classify is a usage error, not an empty report; each
+    # message names its own argument, and nothing is cached
+    for n_max in (1, 0):
+        with pytest.raises(PreconditionError, match="n_max must be >= 2"):
+            reproduce_table(n_max, cache_dir=str(tmp_path))
+    with pytest.raises(PreconditionError, match="m_set must hold"):
+        reproduce_table(3, m_set=(), cache_dir=str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_classify_checks_p_max_for_every_cell(tmp_path):
     # whichever stage decides the cell: (6, 1, 2) has a catalog witness,
     # (5, 0, 1) a closed form, and (4, 1, 1) mines before it searches; the
@@ -415,7 +426,7 @@ def test_classify_creates_its_cache_dir(tmp_path):
 
 def test_repeated_m_values_are_one_cell_each(tmp_path):
     report = reproduce_table(3, m_set=(1, 1), cache_dir=str(tmp_path))
-    cells = [(c.classification.n, c.classification.c, c.classification.m) for c in report.cells]
+    cells = [(cls.n, cls.c, cls.m) for cls in report]
     assert cells == [(2, 0, 1), (2, 1, 1), (3, 0, 1), (3, 1, 1), (3, 2, 1)]
     # the footer counts each cell once too
     lines = render_table(reproduce_table(3, m_set=(2, 1, 2))).splitlines()
@@ -424,15 +435,12 @@ def test_repeated_m_values_are_one_cell_each(tmp_path):
 
 
 def test_reproduce_small_table(tmp_path):
-    report = reproduce_table(
+    cells = reproduce_table(
         6, m_set=(1,), budget_ms=20_000, cap=24, p_max=4,
         max_nodes=300_000, cache_dir=str(tmp_path),
     )
-    assert report.contradictions == ()
-    by_cell = {
-        (c.classification.n, c.classification.c, c.classification.m): c
-        for c in report.cells
-    }
+    assert not any(map(is_contradiction, cells))
+    by_cell = {(cls.n, cls.c, cls.m): cls for cls in cells}
     # n=2: c kinds 0, 1, -1 collapse to {0, 1}
     assert set(by_cell) == {
         (2, 0, 1), (2, 1, 1),
@@ -441,14 +449,15 @@ def test_reproduce_small_table(tmp_path):
         (5, 0, 1), (5, 1, 1), (5, 4, 1),
         (6, 0, 1), (6, 1, 1), (6, 5, 1),
     }
-    assert by_cell[(2, 0, 1)].classification.verdict == VANISHING_PROVED
-    assert by_cell[(4, 1, 1)].classification.threshold == 8
-    assert by_cell[(5, 1, 1)].classification.verdict == NONVANISHING_PROVED
-    assert by_cell[(6, 1, 1)].classification.threshold == 18
+    assert by_cell[(2, 0, 1)].verdict == VANISHING_PROVED
+    assert by_cell[(4, 1, 1)].threshold == 8
+    assert by_cell[(5, 1, 1)].verdict == NONVANISHING_PROVED
+    assert by_cell[(6, 1, 1)].threshold == 18
     # square-free composite F_{-1}: known to be open at m=1, and this cell
     # happens to be provably vanishing at threshold 20 within budget
-    assert by_cell[(6, 5, 1)].expected is None
-    text = render_table(report)
+    assert expected_verdict(6, 5, 1) is None
+    assert by_cell[(6, 5, 1)].threshold == 20
+    text = render_table(cells)
     assert "0 contradiction(s)" in text
     assert "threshold 8" in text
 
@@ -456,30 +465,24 @@ def test_reproduce_small_table(tmp_path):
 def test_parallel_report_serves_cached_cells(tmp_path):
     kw = dict(m_set=(1, 2), max_nodes=20_000, cache_dir=str(tmp_path))
     first = reproduce_table(4, **kw)
-    proved = {
-        (c.classification.n, c.classification.c, c.classification.m)
-        for c in first.cells if c.classification.verdict != UNKNOWN
-    }
-    assert proved and len(proved) < len(first.cells)
+    proved = {(cls.n, cls.c, cls.m) for cls in first if cls.verdict != UNKNOWN}
+    assert proved and len(proved) < len(first)
     # mark every cached entry: a recomputed cell would not carry the mark
     for path in tmp_path.glob("cls_*.json"):
         d = json.loads(path.read_text())
         d["elapsed_ms"] = 987_654
         path.write_text(json.dumps(d))
     again = reproduce_table(4, jobs=2, **kw)
-    for cell in again.cells:
-        cls = cell.classification
+    for cls in again:
         if (cls.n, cls.c, cls.m) in proved:
             assert cls.elapsed_ms == 987_654, (cls.n, cls.c, cls.m)
         else:
             assert cls.verdict == UNKNOWN and cls.elapsed_ms != 987_654
-    assert [c.classification.verdict for c in again.cells] == [
-        c.classification.verdict for c in first.cells
-    ]
+    assert [cls.verdict for cls in again] == [cls.verdict for cls in first]
 
 
 def test_serial_and_pooled_grids_agree(tmp_path, monkeypatch):
-    # a forced contradiction at (2, 0, 1): both runs report it and both
+    # a forced contradiction at (2, 0, 1): both runs flag it and both
     # leave its cell in the cache, as every other cell
     mod = importlib.import_module("blockzero.classify")
     known = mod.expected_verdict
@@ -491,25 +494,18 @@ def test_serial_and_pooled_grids_agree(tmp_path, monkeypatch):
     def run(jobs):
         cache = tmp_path / f"jobs{jobs}"
         cache.mkdir()
-        report = mod.reproduce_table(
+        cells = mod.reproduce_table(
             3, m_set=(1, 2), max_nodes=20_000, cache_dir=str(cache), jobs=jobs
         )
-
-        def strip(cells):
-            return [
-                (replace(c.classification, elapsed_ms=0), c.expected, c.contradiction)
-                for c in cells
-            ]
-
-        return strip(report.cells), strip(report.contradictions), sorted(
+        stripped = [replace(cls, elapsed_ms=0) for cls in cells]
+        return stripped, [cls for cls in stripped if mod.is_contradiction(cls)], sorted(
             p.name for p in cache.iterdir()
         )
 
     serial, pooled = run(1), run(2)
     assert serial == pooled
     cells, contradictions, files = serial
-    assert [c[0].n for c in contradictions] == [2]
-    assert "contradiction_2_0_1.json" in files
+    assert [(cls.n, cls.c, cls.m) for cls in contradictions] == [(2, 0, 1)]
     fam = sum_plus_c_prod(ModulusContext(2), 0)
     assert _cache_path("", 2, fam, 1) in files  # the contradicting cell, cached
     assert len([f for f in files if f.startswith("cls_")]) == len(cells)
@@ -522,10 +518,13 @@ def test_reproduce_table_flags_contradictions(tmp_path, monkeypatch):
     # the grid's cells are (2, 0, 1) and (2, 1, 1); only c = 0 contradicts
     monkeypatch.setattr(mod, "expected_verdict",
                         lambda n, c, m: NONVANISHING if c == 0 else None)
-    report = mod.reproduce_table(2, m_set=(1,), cache_dir=str(tmp_path))
-    assert len(report.contradictions) == 1
-    assert (tmp_path / "contradiction_2_0_1.json").exists()
-    assert "CONTRADICTS" in mod.render_table(report)
+    cells = mod.reproduce_table(2, m_set=(1,), cache_dir=str(tmp_path))
+    assert [mod.is_contradiction(cls) for cls in cells] == [True, False]
+    lines = mod.render_table(cells).splitlines()
+    assert "CONTRADICTS" in lines[2] and "CONTRADICTS" not in lines[3]
+    assert lines[-1] == "1 contradiction(s)"
+    # the library writes only its cache; the CLI dumps the contradiction
+    assert all(p.name.startswith("cls_") for p in tmp_path.iterdir())
 
 
 def _f1_mod_7_witness(m):
@@ -536,9 +535,9 @@ def _f1_mod_7_witness(m):
 
 def test_render_table_says_what_stopped_each_unknown_cell():
     def cell(m=2, outcome=None, certificate=None, c=1):
-        return CellResult(Classification(7, c, m, None, certificate, outcome))
+        return Classification(7, c, m, None, certificate, outcome)
 
-    report = TableReport((
+    lines = render_table((
         cell(certificate=_f1_mod_7_witness(2)),
         cell(c=0, outcome=SearchOutcome((0,) * 13, 500, "exhausted")),  # F_0 vanishes
         cell(outcome=SearchOutcome((0,) * 24, 25, "cap")),
@@ -546,8 +545,7 @@ def test_render_table_says_what_stopped_each_unknown_cell():
         # the set search's budget counts suffix-state sets
         cell(m=1, outcome=SearchOutcome((0,) * 9, 40000, "sets")),
         cell(outcome=SearchOutcome((0,) * 5, 2048, "deadline")),
-    ))
-    lines = render_table(report).splitlines()
+    )).splitlines()
     assert lines[2].endswith("witness 2,3,3,3,3")
     assert lines[3].endswith("threshold 14")
     assert lines[4].endswith("cap reached at length 24")
@@ -561,10 +559,9 @@ def test_render_table_sums_the_time_of_each_outcome():
 
     def cell(elapsed_ms, stop=None, c=1):
         out = SearchOutcome((0,) * 13, 10, stop) if stop else None
-        cls = Classification(7, c, 1, None, None if out else witness, out, 10, elapsed_ms)
-        return CellResult(cls)
+        return Classification(7, c, 1, None, None if out else witness, out, 10, elapsed_ms)
 
-    report = TableReport((
+    lines = render_table((
         cell(1500, "sets"),
         cell(3),
         cell(40, "exhausted", c=0),  # F_0 vanishes: no contradiction
@@ -572,8 +569,7 @@ def test_render_table_sums_the_time_of_each_outcome():
         cell(1),
         cell(9, "cap"),
         cell(2000, "sets"),
-    ))
-    lines = render_table(report).splitlines()
+    )).splitlines()
     # in a fixed order, and an outcome with no cells ("nodes", "deadline")
     # is left out
     assert lines[-2] == (

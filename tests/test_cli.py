@@ -163,7 +163,9 @@ def test_classify_unknown_exits_budget(capsys, cache):
 def test_classify_contradiction_exit(capsys, cache, monkeypatch):
     import importlib
 
-    mod = importlib.import_module("blockzero.cli")
+    # is_contradiction reads expected_verdict in blockzero.classify: the
+    # one place to patch, for classify as for report
+    mod = importlib.import_module("blockzero.classify")
     monkeypatch.setattr(mod, "expected_verdict", lambda n, c, m: VANISHING)
     code, out, err = run(capsys, "classify", "--n", "6", "--c", "1", "--m", "2")
     assert code == EXIT_CONTRADICTION
@@ -216,6 +218,9 @@ def test_usage_errors(capsys, cache):
     for jobs in ("0", "-3"):  # not a serial run
         code, out, err = run(capsys, "report", "--n-max", "3", "--m-set", "1", "--jobs", jobs)
         assert code == EXIT_USAGE and out == "" and "jobs must be >= 1" in err, jobs
+    # a grid with no cell (n = 1 has none) is refused before anything is printed
+    code, out, err = run(capsys, "report", "--n-max", "1", "--m-set", "1")
+    assert code == EXIT_USAGE and out == "" and "n_max must be >= 2, got 1" in err
     # malformed tables: a number, a list of numbers, a string and a float entry
     for tables in ("3", "[3]", '[[0,1,"a"]]', "[[0,1,2.5]]"):
         code, _, err = run(capsys, "eval", "--n", "3", "--family",
@@ -236,14 +241,27 @@ def test_transformation_sums_inline_and_file(capsys, cache, tmp_path):
     assert (code, out.strip()) == (EXIT_OK, "0,2")
 
 
-def test_report_contradiction_exit(capsys, cache, monkeypatch):
+def test_report_contradiction_exit(capsys, cache, monkeypatch, tmp_path):
     import importlib
 
+    # the grid's cells are (2, 0, 1) and (2, 1, 1); only c = 0 contradicts
     mod = importlib.import_module("blockzero.classify")
-    monkeypatch.setattr(mod, "expected_verdict", lambda n, c, m: mod.NONVANISHING)
-    code, out, _ = run(capsys, "report", "--n-max", "2", "--m-set", "1")
+    monkeypatch.setattr(mod, "expected_verdict",
+                        lambda n, c, m: mod.NONVANISHING if c == 0 else None)
+    json_out = tmp_path / "table.json"
+    code, out, _ = run(capsys, "report", "--n-max", "2", "--m-set", "1",
+                       "--json-out", str(json_out))
     assert code == EXIT_CONTRADICTION
-    assert "CONTRADICTS" in out
+    assert "CONTRADICTS" in out and "1 contradiction(s)" in out
+    # the contradicting cell's --json-out record, dumped on its own
+    dump = cache / "contradiction_2_0_1.json"
+    record = json.loads(dump.read_text())
+    assert record == json.loads(json_out.read_text())["cells"][0]
+    assert record["contradiction"] is True
+    assert sorted(p.name for p in cache.glob("contradiction_*")) == [dump.name]
+    rec = json.loads((cache / "runs.jsonl").read_text())
+    assert rec["outcome"] == "1 contradictions"
+    assert rec["artifacts"] == [str(dump), str(json_out)]
 
 
 def test_report_small_grid(capsys, cache, tmp_path):
